@@ -275,7 +275,7 @@ class _MonitorReplay:
                     ),
                 )
             except RaceException:
-                self.race_position = None  # batch lane loses the offset
+                self.race_position = base + self.monitor.block_progress
                 raise
         else:
             is_write = (cols.kinds[start:end] == 1).tolist()

@@ -74,7 +74,8 @@ class CleanMonitor(ExecutionMonitor):
     (:meth:`~repro.core.events.DetectorBackend.note_same_epoch`) runs.
     The set is invalidated whenever the thread's clock can advance (any
     sync commit, spawn/join, barrier departure, condition wake) and
-    globally on rollover resets.  ``fastpath=False`` disables the filter
+    globally on every metadata reset — the rollover policy's and the
+    detector's own auto-rollover.  ``fastpath=False`` disables the filter
     (used by the verdict-equivalence property tests).
     """
 
@@ -109,6 +110,10 @@ class CleanMonitor(ExecutionMonitor):
         )
         #: tid -> addresses written by that thread in its current epoch.
         self._epoch_writes: Dict[int, Set[int]] = {}
+        #: The detector's stats and reset count, watched so the written
+        #: sets never outlive a metadata reset (fast path only).
+        self._stats = getattr(self.detector, "stats", None)
+        self._rollovers = getattr(self._stats, "rollovers", 0)
         self.fastpath_hits = 0
         self.fastpath_misses = 0
 
@@ -124,6 +129,20 @@ class CleanMonitor(ExecutionMonitor):
 
     def _invalidate_all(self) -> None:
         self._epoch_writes.clear()
+
+    def _after_clock_advance(self) -> None:
+        """Drop every written set if the detector reset its metadata.
+
+        CLEAN's auto-rollover resets all epochs from inside whichever
+        ``release``/``fork``/``join`` pushed a clock to its limit — on
+        any thread — so a set surviving it would turn a later write of
+        its thread into a stale same-epoch hit that never reinstalls
+        the epoch, hiding the next WAW race on those bytes.
+        """
+        stats = self._stats
+        if self._fastpath and stats.rollovers != self._rollovers:
+            self._rollovers = stats.rollovers
+            self._invalidate_all()
 
     def _instrument(self, private: bool, address: int) -> bool:
         """Whether this access gets a race check.
@@ -156,11 +175,13 @@ class CleanMonitor(ExecutionMonitor):
         self._invalidate(parent)
         self._invalidate(child)
         self.detector.fork(parent, child)
+        self._after_clock_advance()
 
     def on_join(self, parent: int, child: int) -> None:
         self._invalidate(parent)
         self._invalidate(child)
         self.detector.join(parent, child)
+        self._after_clock_advance()
 
     # -- memory (the Figure-2 checks, ordered per Section 4.3) ---------------
 
@@ -225,8 +246,9 @@ class CleanMonitor(ExecutionMonitor):
 
     # -- the batch lane (replay / analysis) ---------------------------------
 
-    #: Below this many accesses the scalar loop beats the numpy setup.
-    BATCH_MIN = 16
+    #: After :meth:`check_block` raises: the index of the raising access
+    #: in the block as given (private accesses included).
+    block_progress = 0
 
     def on_access_block(self, tid: int, events: Sequence[AccessEvent]) -> None:
         """Scheduler batch-lane hook: one thread's in-order access run."""
@@ -246,14 +268,17 @@ class CleanMonitor(ExecutionMonitor):
         Semantics are identical to the per-event hooks: same verdicts,
         same fast-path hit/miss counts, same ``note_same_epoch`` /
         SiteProfiler / shadow accounting, and on a race the same
-        exception with the same counter trail.
+        exception with the same counter trail; :attr:`block_progress`
+        then names the raising access.
 
-        The same-epoch classification of the *whole* block is resolved
-        in one vectorized pass (a byte is covered at access ``i`` iff it
-        was in the written-this-epoch set before the block or an earlier
-        write in the block covered it), then hit runs collapse into one
-        aggregate accounting call and miss runs go to the backend's
-        vectorized :meth:`~repro.core.events.DetectorBackend.check_block`.
+        After the private-access filter the block goes to the backend's
+        :meth:`~repro.core.events.DetectorBackend.check_block` in one
+        call, with the thread's written-this-epoch set when the fast
+        path is on: the backend classifies the same-epoch hits itself
+        (CLEAN in the same vectorized pass as its checks) and leaves the
+        set as the per-event hooks would.  A monitor with a SiteProfiler
+        attached replays the exact scalar hook bodies instead, because
+        the profiler's sampling tick is order-sensitive.
 
         ``block`` may also arrive columnar — a 4-tuple of equal-length
         numpy arrays ``(is_write, address, size, private)`` — which the
@@ -267,130 +292,57 @@ class CleanMonitor(ExecutionMonitor):
         )
         if columnar and not self.instrument_private_fraction:
             w_col, a_col, s_col, p_col = block
-            keep = ~np.asarray(p_col, dtype=bool)
-            is_write = np.asarray(w_col, dtype=bool)[keep]
-            addr = np.asarray(a_col, dtype=np.int64)[keep]
-            size = np.asarray(s_col, dtype=np.int64)[keep]
-            n = int(addr.size)
-            items = None
+            kept = ~np.asarray(p_col, dtype=bool)
+            accesses = (
+                np.asarray(w_col, dtype=bool)[kept],
+                np.asarray(a_col, dtype=np.int64)[kept],
+                np.asarray(s_col, dtype=np.int64)[kept],
+            )
+            n = int(accesses[1].size)
         else:
             if columnar:
-                w_col, a_col, s_col, p_col = block
-                block = list(
-                    zip(
-                        w_col.tolist(), a_col.tolist(),
-                        s_col.tolist(), p_col.tolist(),
-                    )
-                )
-            if self.instrument_private_fraction:
-                items = [
-                    (w, a, s)
-                    for (w, a, s, p) in block
-                    if self._instrument(p, a)
-                ]
-            else:
-                items = [(w, a, s) for (w, a, s, p) in block if not p]
-            n = len(items)
+                block = list(zip(*(col.tolist() for col in block)))
+            kept = [self._instrument(p, a) for (_w, a, _s, p) in block]
+            accesses = [
+                (w, a, s) for (w, a, s, _p), k in zip(block, kept) if k
+            ]
+            n = len(accesses)
         if not n:
             return
-        # The profiler's sampling tick is order-sensitive, and without
-        # the fast path there is no classification to batch: replay the
-        # exact scalar hook bodies.
-        if self.sites is not None or not self._fastpath or n < self.BATCH_MIN:
-            if items is None:
-                items = list(
-                    zip(is_write.tolist(), addr.tolist(), size.tolist())
-                )
-            for is_write_, address, size_ in items:
-                self._check_one(tid, is_write_, address, size_)
-            return
-
-        if items is not None:
-            is_write = np.fromiter((a[0] for a in items), dtype=bool, count=n)
-            addr = np.fromiter((a[1] for a in items), dtype=np.int64, count=n)
-            size = np.fromiter((a[2] for a in items), dtype=np.int64, count=n)
-        if int(size.min()) < 1:
-            if items is None:
-                items = list(
-                    zip(is_write.tolist(), addr.tolist(), size.tolist())
-                )
-            for is_write_, address, size_ in items:
-                self._check_one(tid, is_write_, address, size_)
-            return
-
-        # Byte expansion and the written-this-epoch coverage overlay.
-        total = int(size.sum())
-        acc_idx = np.repeat(np.arange(n), size)
-        seg_starts = np.cumsum(size) - size
-        baddr = np.repeat(addr, size) + (
-            np.arange(total) - np.repeat(seg_starts, size)
-        )
-        unique, inv = np.unique(baddr, return_inverse=True)
-        written = self._epoch_writes.get(tid)
-        if written:
-            covered0 = np.fromiter(
-                (int(u) in written for u in unique),
-                dtype=bool,
-                count=len(unique),
-            )
-        else:
-            covered0 = np.zeros(len(unique), dtype=bool)
-        first_write = np.full(len(unique), n, dtype=np.int64)
-        byte_is_write = is_write[acc_idx]
-        np.minimum.at(first_write, inv[byte_is_write], acc_idx[byte_is_write])
-        byte_covered = covered0[inv] | (first_write[inv] < acc_idx)
-        hit = np.ones(n, dtype=bool)
-        np.logical_and.at(hit, acc_idx, byte_covered)
-
-        # One detector call for the whole miss subsequence, one aggregate
-        # accounting call for every hit.  Squeezing the hits out is
-        # sound: a hit's bytes already carry the thread's current epoch
-        # (that is what made it a hit), so removing it changes neither
-        # the detector's effective-epoch overlay nor any verdict — and
-        # hits never touch the shadow on the scalar fast path either.
-        # First-touch workloads alternate hit/miss at access grain, so
-        # per-run dispatch would degenerate into thousands of length-1
-        # scalar calls.
         detector = self.detector
-        miss_idx = np.flatnonzero(~hit)
-        if miss_idx.size:
-            try:
-                detector.check_block(
-                    tid,
-                    (is_write[miss_idx], addr[miss_idx], size[miss_idx]),
-                )
-            except Exception:
-                # The scalar loop counts every hit and miss before the
-                # raising access (and applies the misses' earlier writes
-                # to the written set), then stops.
-                done = int(getattr(detector, "block_progress", 0))
-                raiser = int(miss_idx[done])
-                self.fastpath_misses += done + 1
-                pre_hits = np.flatnonzero(hit[:raiser])
-                if pre_hits.size:
-                    self.fastpath_hits += int(pre_hits.size)
-                    detector.note_same_epoch_block(
-                        tid,
-                        (is_write[pre_hits], addr[pre_hits], size[pre_hits]),
+        index = 0
+        try:
+            if self.sites is not None or n < detector.BATCH_MIN:
+                # The profiler's sampling tick is order-sensitive, and a
+                # short block costs less as a loop than as a call.
+                if type(accesses) is tuple:
+                    w_col, a_col, s_col = accesses
+                    accesses = zip(
+                        w_col.tolist(), a_col.tolist(), s_col.tolist()
                     )
-                if written is None:
-                    written = self._epoch_writes.setdefault(tid, set())
-                processed = np.zeros(n, dtype=bool)
-                processed[miss_idx[:done]] = True
-                done_mask = processed[acc_idx] & byte_is_write
-                written.update(baddr[done_mask].tolist())
-                raise
-            self.fastpath_misses += int(miss_idx.size)
-            if written is None:
-                written = self._epoch_writes.setdefault(tid, set())
-            miss_mask = ~hit[acc_idx] & byte_is_write
-            written.update(baddr[miss_mask].tolist())
-        n_hits = n - int(miss_idx.size)
-        if n_hits:
-            self.fastpath_hits += n_hits
-            detector.note_same_epoch_block(
-                tid, (is_write[hit], addr[hit], size[hit])
-            )
+                for index, (is_write, address, size) in enumerate(accesses):
+                    self._check_one(tid, is_write, address, size)
+            else:
+                written = None
+                if self._fastpath:
+                    written = self._epoch_writes.get(tid)
+                    if written is None:
+                        written = self._epoch_writes[tid] = set()
+                done = n
+                try:
+                    detector.check_block(tid, accesses, written=written)
+                except Exception:
+                    # The raising access is a checked one (a miss).
+                    index = detector.block_progress
+                    done = index + 1
+                    raise
+                finally:
+                    if written is not None:
+                        self.fastpath_hits += detector.block_hits
+                        self.fastpath_misses += done - detector.block_hits
+        except Exception:
+            self.block_progress = int(np.flatnonzero(kept)[index])
+            raise
 
     def _check_one(
         self, tid: int, is_write: bool, address: int, size: int
@@ -436,9 +388,11 @@ class CleanMonitor(ExecutionMonitor):
 
     def on_release(self, tid: int, lock: Lock) -> None:
         self.detector.release(tid, lock)
+        self._after_clock_advance()
 
     def on_barrier_arrive(self, tid: int, barrier: Barrier, generation: int) -> None:
         self.detector.release(tid, (barrier, generation))
+        self._after_clock_advance()
 
     def on_barrier_depart(self, tid: int, barrier: Barrier, generation: int) -> None:
         self._invalidate(tid)
@@ -446,6 +400,7 @@ class CleanMonitor(ExecutionMonitor):
 
     def on_cond_signal(self, tid: int, cond: Condition) -> None:
         self.detector.release(tid, cond)
+        self._after_clock_advance()
 
     def on_cond_wake(self, tid: int, cond: Condition) -> None:
         self._invalidate(tid)
@@ -453,6 +408,7 @@ class CleanMonitor(ExecutionMonitor):
 
     def on_sem_post(self, tid: int, sem: Semaphore) -> None:
         self.detector.release(tid, sem)
+        self._after_clock_advance()
 
     def on_sem_wait(self, tid: int, sem: Semaphore) -> None:
         self.detector.acquire(tid, sem)
@@ -476,6 +432,7 @@ class CleanMonitor(ExecutionMonitor):
             # written-this-epoch set says anything about shadow state
             # any more.
             self._invalidate_all()
+            self._rollovers = getattr(self._stats, "rollovers", 0)
 
     # -- telemetry ----------------------------------------------------------------
 

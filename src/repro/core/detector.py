@@ -42,6 +42,10 @@ from .vector_clock import VectorClock
 
 __all__ = ["AccessStats", "CleanDetector", "ThreadState"]
 
+#: A batch block whose bytes span at most this many addresses keys its
+#: scratch table by address offset; a sparser one by distinct-byte rank.
+_DENSE_SPAN = 1 << 18
+
 
 @dataclass
 class AccessStats:
@@ -296,50 +300,6 @@ class CleanDetector(DetectorBackend):
             stats.written_bytes += size
         self._note_width(size)
 
-    def note_same_epoch_block(
-        self, tid: int, block: Sequence[Tuple[bool, int, int]]
-    ) -> None:
-        """Aggregate :meth:`note_same_epoch` over a batch of accesses.
-
-        Pure counter arithmetic — the batched totals are exactly the sum
-        of the per-access calls, computed without a Python-level loop.
-        ``block`` items are ``(is_write, address, size)``.
-        """
-        stats = self.stats
-        if (
-            type(block) is tuple
-            and len(block) == 3
-            and isinstance(block[2], np.ndarray)
-        ):
-            is_write = np.asarray(block[0], dtype=bool)
-            size = np.asarray(block[2], dtype=np.int64)
-            n = int(size.size)
-        else:
-            n = len(block)
-            if n:
-                size = np.fromiter(
-                    (a[2] for a in block), dtype=np.int64, count=n
-                )
-                is_write = np.fromiter(
-                    (a[0] for a in block), dtype=bool, count=n
-                )
-        if not n:
-            return
-        multi = size > 1
-        n_multi = int(multi.sum())
-        stats.multibyte_accesses += n_multi
-        stats.multibyte_uniform_epoch += n_multi
-        if self.vectorized:
-            stats.epoch_comparisons += n_multi + int(size[~multi].sum())
-        else:
-            stats.epoch_comparisons += int(size.sum())
-        n_writes = int(is_write.sum())
-        stats.writes += n_writes
-        stats.reads += n - n_writes
-        stats.written_bytes += int(size[is_write].sum())
-        stats.read_bytes += int(size[~is_write].sum())
-        stats.accesses_ge_4_bytes += int((size >= 4).sum())
-
     def _check_access(self, tid: int, address: int, size: int, is_read: bool) -> None:
         if size < 1:
             raise ValueError("access size must be positive")
@@ -407,29 +367,39 @@ class CleanDetector(DetectorBackend):
     # -- the batch check ------------------------------------------------------
 
     #: Below this many accesses the scalar loop beats the numpy setup cost.
-    BATCH_MIN = 8
+    BATCH_MIN = 16
 
     def check_block(
-        self, tid: int, block: Sequence[Tuple[bool, int, int]]
+        self,
+        tid: int,
+        block: Sequence[Tuple[bool, int, int]],
+        written: Optional[Set[int]] = None,
     ) -> None:
         """Vectorized batch check of one thread's in-order access block.
 
-        Semantics are *identical* to looping :meth:`check_read` /
-        :meth:`check_write` over ``block`` — same verdicts, same
-        exception at the same access, and figure-exact ``stats`` and
-        shadow counters — but the race-free majority is resolved in a
-        handful of numpy passes over flat epoch tables.
+        Semantics are *identical* to the scalar loop of
+        :meth:`DetectorBackend.check_block` — same verdicts, same
+        exception at the same access, figure-exact ``stats`` and shadow
+        counters and, given the adapter's ``written`` set, the same
+        same-epoch hits and the same set afterwards — but the race-free
+        majority is resolved in one byte expansion, keyed by address
+        into one scratch table.  Per byte of the block:
 
-        The trick is the *effective epoch* overlay: within one block the
-        only metadata mutation is this thread's writes installing its
-        current epoch, so byte ``b`` at access ``i`` carries the
-        thread's epoch if an earlier write in the block covered ``b``,
-        and its pre-block epoch otherwise.  That makes every per-byte
-        Figure-2 comparison computable in one vectorized pass.  The
-        first access whose predicate fires (the conflict minority) is
-        re-run through the genuine scalar path, which raises with the
-        exact counters and exception the scalar loop would have
-        produced; the remaining suffix is re-screened the same way.
+        * **hits** — an access is a same-epoch hit iff each of its bytes
+          was in ``written`` before the block or covered by an earlier
+          write of the block (a hit write's bytes are already in the
+          set, so any earlier write counts);
+        * **the effective-epoch overlay** — the only metadata mutation
+          inside the block is this thread's *checked* (non-hit) writes
+          installing its current epoch, so byte ``b`` at access ``i``
+          carries that epoch if an earlier checked write covered ``b``,
+          and its pre-block epoch otherwise.  Every Figure-2 comparison
+          then happens in one vectorized pass.
+
+        The first checked access whose predicate fires (the conflict
+        minority) is re-run through the genuine scalar path, which
+        raises with the exact counters and exception the loop would
+        have produced; the remaining suffix is re-screened the same way.
         """
         columnar = (
             type(block) is tuple
@@ -437,12 +407,13 @@ class CleanDetector(DetectorBackend):
             and isinstance(block[1], np.ndarray)
         )
         n = int(block[1].size) if columnar else len(block)
+        self.block_progress = 0
         if (
             n < self.BATCH_MIN
             or not self.vectorized
             or not hasattr(self.shadow, "gather")
         ):
-            return DetectorBackend.check_block(self, tid, block)
+            return DetectorBackend.check_block(self, tid, block, written)
 
         thread = self._thread(tid)
         new_epoch = thread.vc.element(tid)
@@ -456,98 +427,150 @@ class CleanDetector(DetectorBackend):
             addr = np.fromiter((a[1] for a in block), dtype=np.int64, count=n)
             size = np.fromiter((a[2] for a in block), dtype=np.int64, count=n)
         if int(size.min()) < 1:
-            return DetectorBackend.check_block(self, tid, block)
+            return DetectorBackend.check_block(self, tid, block, written)
 
-        # Expand accesses into their constituent byte addresses.
-        total = int(size.sum())
-        acc_idx = np.repeat(np.arange(n), size)
-        seg_starts = np.cumsum(size) - size
-        baddr = np.repeat(addr, size) + (np.arange(total) - np.repeat(seg_starts, size))
-
-        unique, inv = np.unique(baddr, return_inverse=True)
-        e0 = self.shadow.gather(unique).astype(np.uint32)
-
-        # Effective-epoch overlay: first write index covering each byte.
-        first_write = np.full(len(unique), n, dtype=np.int64)
+        # Expand accesses into their byte addresses, in access order.
+        seg_starts = size.cumsum() - size
+        total = int(seg_starts[-1] + size[-1])
+        acc_idx = np.arange(n).repeat(size)
+        baddr = (addr - seg_starts).repeat(size) + np.arange(total)
         byte_is_write = is_write[acc_idx]
-        np.minimum.at(first_write, inv[byte_is_write], acc_idx[byte_is_write])
+
+        # Key every byte into one scratch table: by its offset in the
+        # block's address window, or — for a sparse block — by its rank
+        # among the block's distinct bytes.
+        lo = int(baddr.min())
+        span = int(baddr.max()) - lo + 1
+        if span <= _DENSE_SPAN:
+            key = baddr - lo
+        else:
+            distinct, key = np.unique(baddr, return_inverse=True)
+            span = distinct.size
+        table = np.empty(span, dtype=np.int64)
+
+        def first_access(mask: np.ndarray) -> np.ndarray:
+            """Per byte: the first access of ``mask`` covering it, or n."""
+            table[key] = n
+            np.minimum.at(table, key[mask], acc_idx[mask])
+            return table[key]
+
+        # Same-epoch hits, and the first checked write of every byte.  A
+        # hit covered by this block's writes alone carries the thread's
+        # epoch in the overlay — uniform, race-free, never updated — and
+        # is never the first write of a byte; only hits on bytes from
+        # the pre-block set (``prior``) need the corrections below.
+        first = first_access(byte_is_write)
+        overlaid = first < acc_idx
+        hit = None
+        if written is not None:
+            covered = overlaid
+            if written:
+                covered = covered | np.fromiter(
+                    (b in written for b in baddr.tolist()),
+                    dtype=bool,
+                    count=total,
+                )
+            hit = np.logical_and.reduceat(covered, seg_starts)
+            if not hit.any():
+                hit = None
+        prior = hit is not None and bool(written)
+        if prior:
+            first = first_access(byte_is_write & ~hit[acc_idx])
+            overlaid = first < acc_idx
         eff = np.where(
-            first_write[inv] < acc_idx, np.uint32(new_epoch), e0[inv]
+            overlaid, np.uint32(new_epoch), self.shadow.gather(baddr)
         )
 
-        # The Figure-2 predicate, per byte, in one pass.
-        e_tid = (eff >> np.uint32(self.layout.clock_bits)).astype(np.int64)
-        e_tid &= self.layout.max_tid
-        e_clk = (eff & np.uint32(self.layout.clock_max)).astype(np.int64)
-        vc_clk = np.fromiter(
-            (thread.vc.clock_of(t) for t in range(self.max_threads)),
-            dtype=np.int64,
-            count=self.max_threads,
+        # The Figure-2 predicate, per byte, in one comparison: vector
+        # clock elements are epoch-encoded (Section 4.1), so a byte races
+        # iff its epoch exceeds the element of its writer's tid.  Epochs
+        # whose tid bits fall outside the clock compare against -1 and
+        # are re-checked by the scalar path.
+        vc = np.array([*thread.vc, -1], dtype=np.int64)
+        writer = np.minimum(
+            eff >> np.uint32(self.layout.clock_bits), self.max_threads
         )
-        in_range = e_tid < self.max_threads
-        racy_byte = ~in_range  # foreign tids re-checked via the scalar path
-        racy_byte |= e_clk > vc_clk[np.where(in_range, e_tid, 0)]
+        racy_acc = np.logical_or.reduceat(eff > vc[writer], seg_starts)
+        if prior:
+            racy_acc &= ~hit
+        racy = racy_acc.nonzero()[0]
+        danger = int(racy[0]) if racy.size else n
 
-        racy_acc = np.zeros(n, dtype=bool)
-        np.logical_or.at(racy_acc, acc_idx, racy_byte)
-        danger = int(np.argmax(racy_acc)) if bool(racy_acc.any()) else n
-
+        n_hits = 0
         if danger > 0:
             stats = self.stats
+            prefix = int(seg_starts[danger]) if danger < n else total
             psz = size[:danger]
-            pw = is_write[:danger]
-            prefix_bytes = acc_idx < danger
-
-            stats.reads += int((~pw).sum())
-            stats.writes += int(pw.sum())
-            stats.read_bytes += int(psz[~pw].sum())
-            stats.written_bytes += int(psz[pw].sum())
-            stats.accesses_ge_4_bytes += int((psz >= 4).sum())
+            n_writes = int(np.count_nonzero(is_write[:danger]))
+            n_written = int(np.count_nonzero(byte_is_write[:prefix]))
+            stats.writes += n_writes
+            stats.reads += danger - n_writes
+            stats.written_bytes += n_written
+            stats.read_bytes += prefix - n_written
+            stats.accesses_ge_4_bytes += int(np.count_nonzero(psz >= 4))
             multi = psz > 1
-            stats.multibyte_accesses += int(multi.sum())
-            same_as_first = (eff == eff[seg_starts][acc_idx]).astype(np.int64)
-            uniform = np.add.reduceat(same_as_first, seg_starts) == size
-            stats.multibyte_uniform_epoch += int((multi & uniform[:danger]).sum())
-            stats.epoch_comparisons += int(
-                np.where(multi & uniform[:danger], 1, psz).sum()
+            stats.multibyte_accesses += int(np.count_nonzero(multi))
+            # A hit is accounted as note_same_epoch does: one epoch for
+            # all its bytes, no shadow traffic.
+            uniform = np.logical_and.reduceat(
+                eff == eff[seg_starts][acc_idx], seg_starts
+            )[:danger]
+            updated = byte_is_write[:prefix] & (
+                eff[:prefix] != np.uint32(new_epoch)
             )
+            checked_bytes = prefix
+            if prior:
+                uniform |= hit[:danger]
+                updated &= ~hit[acc_idx[:prefix]]
+            if hit is not None:
+                n_hits = int(np.count_nonzero(hit[:danger]))
+                checked_bytes -= int(psz[hit[:danger]].sum())
+            one = multi & uniform
+            n_one = int(np.count_nonzero(one))
+            stats.multibyte_uniform_epoch += n_one
+            stats.epoch_comparisons += n_one + int(psz[~one].sum())
 
             # Shadow traffic the scalar loop would have generated: one
             # load per checked byte, one (always-successful — the block
-            # runs unpreempted) CAS per first foreign-epoch write byte.
-            updated = prefix_bytes & byte_is_write & (eff != np.uint32(new_epoch))
-            n_updated = int(updated.sum())
+            # runs unpreempted) CAS per foreign-epoch checked write byte.
+            n_updated = int(np.count_nonzero(updated))
             stats.epoch_updates += n_updated
-            self.shadow.loads += int(psz.sum())
+            self.shadow.loads += checked_bytes
             self.shadow.stores += n_updated
-            written = np.unique(baddr[prefix_bytes & byte_is_write])
-            self.shadow.scatter(written, new_epoch)
+            installed = baddr[:prefix][first[:prefix] == acc_idx[:prefix]]
+            self.shadow.scatter(installed, new_epoch)
+            if written is not None:
+                written.update(installed.tolist())
+        self.block_hits = n_hits
 
         if danger < n:
             # Conflict minority: the genuine scalar path reproduces the
             # exact counter trail and exception the loop would have.
+            a, s = int(addr[danger]), int(size[danger])
             try:
                 if is_write[danger]:
-                    self.check_write(tid, int(addr[danger]), int(size[danger]))
+                    self.check_write(tid, a, s)
                 else:
-                    self.check_read(tid, int(addr[danger]), int(size[danger]))
+                    self.check_read(tid, a, s)
             except Exception:
                 self.block_progress = danger
                 raise
+            if written is not None and is_write[danger]:
+                written.update(range(a, a + s))
             # Only reached when the predicate was conservative (foreign
             # tid); re-screen the rest of the block.
+            rest = slice(danger + 1, n)
             try:
                 self.check_block(
                     tid,
-                    (
-                        is_write[danger + 1 :],
-                        addr[danger + 1 :],
-                        size[danger + 1 :],
-                    ),
+                    (is_write[rest], addr[rest], size[rest]),
+                    written=written,
                 )
             except Exception:
                 self.block_progress += danger + 1
                 raise
+            finally:
+                self.block_hits += n_hits
 
     # -- recovery hooks -------------------------------------------------------
     #
