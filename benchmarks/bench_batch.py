@@ -2,24 +2,19 @@
 
 One synthetic trace — four threads hammering disjoint slabs with sparse
 lock traffic, the shape the batch lane is built for (long
-synchronization-free runs) — replayed through the three analysis modes
-of :func:`repro.analysis.analyze_trace`:
+synchronization-free runs) — replayed through both analysis modes of
+:func:`repro.analysis.analyze_trace`:
 
 * ``scalar``  — the reference path: every access through the monitor's
   per-event ``_check_one``.
 * ``batch``   — whole runs through ``CleanMonitor.check_block``: the
   same-epoch majority resolved in one vectorized pass over the flat
   epoch tables, scalar fallback only for the conflict minority.
-* ``sharded`` — the address space split across worker processes
-  (``JobRunner``), per-shard epoch tables, deterministic merge.
 
-All three must agree on verdict and every ``clean.*`` counter — the
+Both must agree on verdict and every ``clean.*`` counter — the
 benchmark asserts it before reporting a single number.  The JSON
-artifact carries events/sec per mode, speedups over scalar, and the
-host CPU count: sharded mode pays worker-process spawns plus a full
-in-process counting replay, so on a single-CPU container it cannot
-approach the in-process batch number — the artifact records the CPU
-count precisely so the sharded figure can be read in context.
+artifact carries events/sec per mode, the batch speedup over scalar,
+and the host CPU count.
 
 Run it directly (CI's bench-smoke job does)::
 
@@ -99,32 +94,27 @@ def _record(path: str) -> int:
     return recorder.trace.total_events
 
 
-def _time_mode(path: str, mode: str, repeats: int, **kwargs):
+def _time_mode(path: str, mode: str, repeats: int):
     best = float("inf")
     report = None
     for _ in range(repeats):
         start = time.perf_counter()
-        report = analyze_trace(path, mode=mode, **kwargs)
+        report = analyze_trace(path, mode=mode)
         best = min(best, time.perf_counter() - start)
     return best, report
 
 
 def run_benchmarks(repeats: int) -> Dict[str, object]:
     cpus = os.cpu_count() or 1
-    workers = min(2, cpus)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench.trace")
         events = _record(path)
         scalar_s, scalar = _time_mode(path, "scalar", repeats)
         batch_s, batch = _time_mode(path, "batch", repeats)
-        sharded_s, sharded = _time_mode(
-            path, "sharded", repeats, shards=workers, workers=workers
-        )
     # Equivalence first, numbers second: a fast wrong answer is no answer.
-    for other in (batch, sharded):
-        assert other.racy == scalar.racy, other.mode
-        assert other.counters == scalar.counters, other.mode
-    timings = {"scalar": scalar_s, "batch": batch_s, "sharded": sharded_s}
+    assert batch.racy == scalar.racy
+    assert batch.counters == scalar.counters
+    timings = {"scalar": scalar_s, "batch": batch_s}
     return {
         "benchmark": "batch_analysis",
         "workload": {
@@ -133,7 +123,7 @@ def run_benchmarks(repeats: int) -> Dict[str, object]:
             "sync_every": SYNC_EVERY,
             "trace_events": events,
         },
-        "host": {"cpu_count": cpus, "sharded_workers": workers},
+        "host": {"cpu_count": cpus},
         "repeats": repeats,
         "seconds_best": timings,
         "events_per_sec": {
@@ -141,7 +131,6 @@ def run_benchmarks(repeats: int) -> Dict[str, object]:
         },
         "speedups": {
             "batch_vs_scalar": scalar_s / batch_s,
-            "sharded_vs_scalar": scalar_s / sharded_s,
         },
     }
 
@@ -166,10 +155,6 @@ def main(argv=None) -> int:
     print(f"scalar:   {times['scalar']:.3f}s  ({rates['scalar']:,.0f} ev/s)")
     print(f"batch:    {times['batch']:.3f}s  ({rates['batch']:,.0f} ev/s)  "
           f"-> {speed['batch_vs_scalar']:.2f}x")
-    print(f"sharded:  {times['sharded']:.3f}s  ({rates['sharded']:,.0f} ev/s)  "
-          f"-> {speed['sharded_vs_scalar']:.2f}x  "
-          f"({report['host']['sharded_workers']} workers, "
-          f"{report['host']['cpu_count']} CPUs)")
     print(f"wrote {args.out}")
     if args.check and speed["batch_vs_scalar"] < 2.0:
         print("FAIL: check_block replay below 2x scalar", file=sys.stderr)

@@ -32,14 +32,15 @@ profile NAME [--scale S] [--seed K] [--format text|json|prom] [--sites]
     adds the hot-site attribution tables, ``--serve`` exposes /metrics
     over HTTP during the run, and ``--format prom`` emits the final
     snapshot as Prometheus text.
-trace NAME OUT.jsonl [--scale S] [--seed K] [--racy]
-    Record a benchmark's access trace to a file (record-only, so racy
-    variants capture the race for offline analysis).
-analyze TRACE [--mode scalar|batch|sharded] [--shards N] [--jobs N]
-        [--salvage] [--hot-sites K] [--json]
+trace NAME OUT.trace [--scale S] [--seed K] [--racy]
+    Record a benchmark's access trace to a binary trace file
+    (record-only, so racy variants capture the race for offline
+    analysis).  An ``OUT.jsonl`` path selects the legacy JSON-lines
+    format instead.
+analyze TRACE [--mode scalar|batch] [--salvage] [--hot-sites K] [--json]
     Race-analyze a recorded trace offline: the vectorized check_block
-    batch path by default, or sharded across worker processes; all
-    modes report identical verdicts, racing pairs and clean.* counters.
+    batch path by default, or the scalar reference loop; both modes
+    report identical verdicts, racing pairs and clean.* counters.
     ``--hot-sites K`` ranks the K most-accessed shared addresses.
     Exits 1 when a race is found.
 serve [--host H] [--port P] [--workers N] [--queue-size N] [--quota T]
@@ -61,7 +62,7 @@ slo [--config FILE] [--timeseries FILE] [--json]
     ``--config`` loads declarative objectives (JSON; default: the
     built-in availability / latency-p99 / shed-rate set).  Exits 1
     when any objective is firing.
-simulate TRACE.jsonl [--mode clean|epoch1|epoch4] [--unit clean|precise]
+simulate TRACE.trace [--mode clean|epoch1|epoch4] [--unit clean|precise]
          [--telemetry OUT.jsonl]
     Replay a recorded trace on the hardware simulator.
 chaos [--seed N] [--faults KINDS] [--jobs N] [--watchdog S]
@@ -462,8 +463,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_trace(
         args.trace,
         mode=args.mode,
-        shards=args.shards,
-        workers=args.jobs,
         salvage=args.salvage,
         hot_sites=args.hot_sites,
     )
@@ -472,9 +471,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 1 if report.racy else 0
     print(
         f"analyzed {report.accesses} accesses / {report.syncs} syncs "
-        f"across {report.threads} threads ({report.mode} mode"
-        + (f", {report.shards} shards" if report.shards else "")
-        + ")"
+        f"across {report.threads} threads ({report.mode} mode)"
     )
     if report.racy:
         race = report.race
@@ -937,15 +934,9 @@ def main(argv=None) -> int:
     )
     p.add_argument("trace")
     p.add_argument("--mode", default="batch",
-                   choices=["scalar", "batch", "sharded"],
-                   help="scalar reference, vectorized check_block batch "
-                        "(default), or address-sharded worker processes")
-    p.add_argument("--shards", type=int, default=0,
-                   help="address shards for --mode sharded (0 = one per "
-                        "worker)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for --mode sharded "
-                        "(default: CPU count)")
+                   choices=["scalar", "batch"],
+                   help="scalar reference or vectorized check_block batch "
+                        "(default)")
     p.add_argument("--salvage", action="store_true",
                    help="analyze the readable prefix of a damaged trace")
     p.add_argument("--hot-sites", type=int, default=0, metavar="K",

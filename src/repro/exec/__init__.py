@@ -10,20 +10,19 @@ measurement harness such a sweep deserves:
 * :class:`~repro.exec.checkpoint.CheckpointStore` — one JSON result
   file per job id, so an interrupted sweep resumes instead of
   recomputing;
-* :class:`~repro.exec.runner.JobRunner` — fans jobs out across
-  ``multiprocessing`` workers with per-job timeouts, bounded retry with
-  exponential backoff, graceful degradation to in-process execution,
-  deterministic (submission-order) results, and a cross-process
-  telemetry pipeline: each job executes inside a fresh telemetry scope
-  (:func:`~repro.exec.job.run_job_traced`) and its metrics/spans/
-  hot-site payload is merged back in submission order, so parallel and
-  serial sweeps report identical telemetry totals;
-* :class:`~repro.exec.runner.PersistentPool` — the streaming sibling of
-  the runner for long-lived services (``repro serve``): ``workers``
-  resident child processes that jobs are fed to one at a time, with the
-  same crash/timeout/retry/degradation semantics, ticket-based results
-  (:class:`~repro.exec.runner.PoolTicket`) and per-completion telemetry
-  merging.
+* :class:`~repro.exec.runner.JobRunner` — runs a batch of jobs with
+  checkpoint/resume, deterministic (submission-order) results and a
+  cross-process telemetry pipeline: each job executes inside a fresh
+  telemetry scope (:func:`~repro.exec.job.run_job_traced`) and its
+  metrics/spans/hot-site payload is merged back in submission order, so
+  parallel and serial sweeps report identical telemetry totals;
+* :class:`~repro.exec.runner.PersistentPool` — the one worker pool:
+  ``workers`` resident child processes fed jobs one at a time, with
+  per-job timeouts, a heartbeat watchdog, crash classification, bounded
+  retry with capped exponential backoff, degradation to in-process
+  threads and ticket-based results
+  (:class:`~repro.exec.runner.PoolTicket`).  ``JobRunner`` runs its
+  parallel sweeps on it; the ``repro serve`` daemon streams into it.
 
 See ``docs/experiment_runner.md`` for the job model, the cache layout
 and the failure semantics.

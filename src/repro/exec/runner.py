@@ -1,60 +1,46 @@
-"""The fault-tolerant parallel job runner.
+"""The fault-tolerant job runner and the resident worker pool behind it.
 
 ``JobRunner.run(jobs)`` returns one :class:`JobResult` per job **in
 submission order**, no matter in which order workers finish — report
 tables must not depend on scheduling noise.  Per job it provides:
 
-* checkpointing — a job whose id is already in the
+* checkpointing — a job already in the
   :class:`~repro.exec.checkpoint.CheckpointStore` is served from disk
   (``cached=True``) without executing;
-* isolation — with ``workers >= 2`` (or a timeout configured) each
-  attempt runs in its own ``multiprocessing`` process, so a crashing or
-  hanging job cannot take the sweep down;
-* per-job timeouts — a worker past its deadline is terminated and the
-  attempt counts as a (retryable) failure;
-* bounded retry — up to ``retries`` re-attempts with exponential
-  backoff (``backoff * 2**(attempt-1)`` seconds, capped at
-  ``max_backoff``); optional *deterministic* jitter spreads retry
-  storms without breaking reproducibility — the jitter factor is seeded
-  from the job id and attempt number, so serial and parallel runs (and
-  re-runs) compute identical delays;
-* stuck-worker detection — with ``watchdog`` set, worker processes
-  heartbeat over their result pipe; a worker silent for longer than the
-  watchdog window is terminated and the attempt counts as a (retryable)
-  failure, so a wedged child cannot stall the sweep forever;
-* graceful degradation — a job that exhausts its retries yields a
-  structured ``failed`` result (the sweep continues), and if worker
-  processes cannot be started at all (restricted sandboxes) the runner
-  falls back to in-process execution instead of dying;
-* telemetry — one span per job on the :class:`~repro.obs.Tracer` and
-  ``runner.*`` counters in the :class:`~repro.obs.MetricsRegistry`;
-* cross-process telemetry — with ``job_telemetry`` on (the default)
-  every attempt executes inside a fresh telemetry scope
-  (:func:`~repro.exec.job.run_job_traced`) and ships its metrics
-  snapshot, span records and optional hot-site profile back alongside
-  the value; after the run the runner merges the per-job payloads **in
-  submission order** into its own registry/tracer/:attr:`sites`, so a
-  ``--jobs 4`` sweep aggregates exactly the totals of the serial one.
-  Telemetry also rides in the checkpoint record, so cache-served jobs
+* isolation — with ``workers >= 2`` (or a timeout) the misses run on a
+  :class:`PersistentPool` of resident worker processes, which owns the
+  per-job timeouts, the heartbeat watchdog for wedged workers, crash
+  classification, the bounded retry loop with capped exponential
+  backoff (optional jitter is a pure function of job id and attempt, so
+  serial, parallel and repeated runs wait identically) and the
+  degradation to in-process threads when processes cannot start;
+* structured failure — a job that exhausts its retries yields a
+  ``failed`` result and the sweep continues;
+* telemetry — one ``runner.job`` span per job, ``runner.*`` counters,
+  and with ``job_telemetry`` on each attempt runs in a fresh telemetry
+  scope (:func:`~repro.exec.job.run_job_traced`) whose metrics, spans,
+  hot-site profile and timelines merge back **in submission order**, so
+  a ``--jobs 4`` sweep aggregates exactly the totals of the serial one.
+  The payload rides in the checkpoint record, so cache-served jobs
   replay the telemetry of their original execution;
-* live status — when :attr:`JobRunner.status` is set to a
-  :class:`~repro.obs.StatusFile`, progress (totals, currently running
-  jobs, ETA) is atomically republished as the sweep advances, and
-  :meth:`JobRunner.status_snapshot` serves the same dict to the
-  ``/status`` HTTP endpoint.
+* live status — progress (totals, running jobs, ETA) republished to
+  :attr:`JobRunner.status` and served by
+  :meth:`JobRunner.status_snapshot` to the ``/status`` endpoint.
 
-With ``workers <= 1`` and no timeout, jobs execute in-process (fast,
-no pickling constraints beyond the job model itself).
+With ``workers <= 1`` and no timeout, jobs execute in-process: the
+serial reference that ``--jobs N`` sweeps must match byte for byte.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import queue
 import random
+import signal
 import sys
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -63,6 +49,10 @@ from .checkpoint import CheckpointStore
 from .job import Job, run_job, run_job_traced
 
 __all__ = ["JobResult", "JobRunner", "PersistentPool", "PoolTicket"]
+
+#: Seconds an idle worker waits for a job before checking whether its
+#: owner is still alive.
+_ORPHAN_POLL = 0.5
 
 
 @dataclass
@@ -100,92 +90,36 @@ def _worker_wedged() -> bool:
     return bool(faults is not None and faults.is_wedged())
 
 
-def _worker_main(
-    fn: str,
-    config: Dict[str, Any],
-    conn,
-    telemetry: bool = True,
-    sites: bool = False,
-    sample_every: int = 1,
-    timelines: bool = False,
-    heartbeat: float = 0.0,
-) -> None:
-    """Child-process entry: run the job, ship (status, ...) back.
-
-    Telemetry options arrive as extra process args — never through the
-    job config, which is content-hashed into the job id.  With
-    ``heartbeat`` > 0, a daemon thread sends ``("hb",)`` over the pipe
-    every ``heartbeat`` seconds so the parent's watchdog can tell a
-    slow worker from a wedged one.
-    """
-    send_lock = threading.Lock()
-    stop_beat = threading.Event()
-    if heartbeat > 0:
-
-        def _beat() -> None:
-            while not stop_beat.wait(heartbeat):
-                if _worker_wedged():
-                    # An injected hang swallows heartbeats too: the whole
-                    # point is to look dead so the watchdog must act.
-                    continue
-                try:
-                    with send_lock:
-                        conn.send(("hb",))
-                except OSError:
-                    return
-
-        threading.Thread(target=_beat, daemon=True).start()
-    cpu0 = time.process_time()
-    try:
-        job = Job(fn=fn, config=config)
-        if telemetry:
-            value, telem = run_job_traced(
-                job, sites=sites, sample_every=sample_every, timelines=timelines
-            )
-        else:
-            value, telem = run_job(job), None
-    except BaseException as exc:  # noqa: BLE001 - everything is a job failure
-        stop_beat.set()
-        try:
-            with send_lock:
-                conn.send(
-                    (
-                        "error",
-                        f"{type(exc).__name__}: {exc}",
-                        traceback.format_exc(),
-                        time.process_time() - cpu0,
-                    )
-                )
-        finally:
-            conn.close()
-        return
-    stop_beat.set()
-    try:
-        with send_lock:
-            conn.send(("ok", value, time.process_time() - cpu0, telem))
-    finally:
-        conn.close()
-
-
-class _Active:
-    """Book-keeping for one in-flight worker process."""
-
-    __slots__ = (
-        "index", "attempt", "process", "conn", "start", "deadline", "last_beat",
+def _execute(
+    job: Job, telemetry: bool, sites: bool, sample_every: int, timelines: bool
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """Run one attempt in this process: ``(value, telemetry payload)``."""
+    if not telemetry:
+        return run_job(job), None
+    return run_job_traced(
+        job, sites=sites, sample_every=sample_every, timelines=timelines
     )
 
-    def __init__(self, index, attempt, process, conn, start, deadline):
-        self.index = index
-        self.attempt = attempt
-        self.process = process
-        self.conn = conn
-        self.start = start
-        self.deadline = deadline
-        self.last_beat = start
+
+class _Backoff:
+    """The retry delay policy shared by :class:`JobRunner` (serial
+    path) and :class:`PersistentPool`; reads ``backoff``,
+    ``max_backoff`` and ``backoff_jitter`` from the instance."""
+
+    def _backoff_delay(self, attempt: int, job_id: str = "") -> float:
+        """Delay before retry ``attempt + 1``: capped exponential, with
+        optional jitter that is a pure function of (job id, attempt) —
+        the same job retries after the same delay whether the sweep runs
+        serially, in parallel, or is re-run tomorrow."""
+        delay = min(self.max_backoff, self.backoff * (2 ** (attempt - 1)))
+        if self.backoff_jitter:
+            rng = random.Random(f"{job_id}:{attempt}")
+            delay *= 1.0 + self.backoff_jitter * (rng.random() - 0.5)
+        return max(0.0, min(self.max_backoff, delay))
 
 
 @dataclass
-class JobRunner:
+class JobRunner(_Backoff):
     """Runs :class:`Job` batches with caching, retries and timeouts."""
 
     workers: int = 1
@@ -199,12 +133,9 @@ class JobRunner:
     #: seconds a worker may stay silent (no heartbeat, no result) before
     #: the watchdog declares it stuck; ``None`` disables the watchdog
     watchdog: Optional[float] = None
-    #: seconds between worker heartbeats when the watchdog is armed
-    heartbeat_every: float = 0.0
     store: Optional[CheckpointStore] = None
     registry: Any = None  # MetricsRegistry-compatible (duck-typed)
     tracer: Any = None  # Tracer-compatible (duck-typed)
-    mp_context: Optional[str] = None  # "fork"/"spawn"/None = platform pick
     #: collect per-job telemetry payloads and merge them post-run
     job_telemetry: bool = True
     #: attribute detector work to addresses/SFRs (fills :attr:`sites`)
@@ -246,6 +177,7 @@ class JobRunner:
         }
         self._run_start = time.perf_counter()
         self._running: Dict[int, str] = {}
+        self._tickets: List[PoolTicket] = []
         self._done = 0
         self._ok = 0
         self._last_status = 0.0
@@ -295,10 +227,11 @@ class JobRunner:
             ):
                 self._run_inline(jobs, to_run, results)
             else:
-                self._run_pool(jobs, to_run, results)
+                self._run_resident(jobs, to_run, results)
         assert all(r is not None for r in results)
         self._merge_telemetry(results)
         self._running = {}
+        self._tickets = []
         self._publish_status(state="done", force=True)
         return results  # type: ignore[return-value]
 
@@ -320,6 +253,11 @@ class JobRunner:
             eta_s = s.get("wall_seconds", 0.0) / executed * remaining / max(
                 1, min(self.workers, remaining)
             )
+        running = list(getattr(self, "_running", {}).values()) + [
+            t.job.label
+            for t in getattr(self, "_tickets", ())
+            if t.started is not None and not t.done()
+        ]
         return {
             "state": state,
             "total": total,
@@ -334,7 +272,7 @@ class JobRunner:
             "corrupt_checkpoints": s.get("corrupt_checkpoints", 0),
             "workers": self.workers,
             "degraded": bool(s.get("degraded")),
-            "running": sorted(getattr(self, "_running", {}).values()),
+            "running": sorted(running),
             "elapsed_s": round(elapsed, 3),
             "eta_s": round(eta_s, 3) if eta_s is not None else None,
         }
@@ -398,8 +336,12 @@ class JobRunner:
         if self.registry is not None:
             self.registry.inc(f"runner.{key}", amount)
 
-    def _job_timeout(self, job: Job) -> Optional[float]:
-        return job.timeout if job.timeout is not None else self.timeout
+    def _start_span(self, job: Job):
+        if self.tracer is None:
+            return None
+        return self.tracer.start_span(
+            "runner.job", job=job.label, id=job.job_id, cached=False
+        )
 
     def _finish(
         self,
@@ -438,17 +380,6 @@ class JobRunner:
                 span.set("error", result.error)
             self.tracer.end_span(span)
 
-    def _backoff_delay(self, attempt: int, job_id: str = "") -> float:
-        """Delay before retry ``attempt + 1``: capped exponential, with
-        optional jitter that is a pure function of (job id, attempt) —
-        the same job retries after the same delay whether the sweep runs
-        serially, in parallel, or is re-run tomorrow."""
-        delay = min(self.max_backoff, self.backoff * (2 ** (attempt - 1)))
-        if self.backoff_jitter:
-            rng = random.Random(f"{job_id}:{attempt}")
-            delay *= 1.0 + self.backoff_jitter * (rng.random() - 0.5)
-        return max(0.0, min(self.max_backoff, delay))
-
     # -- in-process execution ----------------------------------------------
 
     def _run_inline(
@@ -459,279 +390,89 @@ class JobRunner:
     ) -> None:
         for index in to_run:
             job = jobs[index]
-            span = (
-                self.tracer.start_span(
-                    "runner.job", job=job.label, id=job.job_id, cached=False
-                )
-                if self.tracer is not None
-                else None
-            )
+            span = self._start_span(job)
             self._running[index] = job.label
             self._publish_status()
             start = time.perf_counter()
             cpu0 = time.process_time()
-            attempt = 0
-            while True:
-                attempt += 1
+            value = telem = error = None
+            for attempt in range(1, self.retries + 2):
                 try:
-                    if self.job_telemetry:
-                        value, telem = run_job_traced(
-                            job,
-                            sites=self.profile_sites,
-                            sample_every=self.sample_every,
-                            timelines=self.record_timelines,
-                        )
-                    else:
-                        value, telem = run_job(job), None
+                    value, telem = _execute(
+                        job, self.job_telemetry, self.profile_sites,
+                        self.sample_every, self.record_timelines,
+                    )
+                    error = None
+                    break
                 except BaseException as exc:  # noqa: BLE001
+                    error = f"{type(exc).__name__}: {exc}"
                     if attempt <= self.retries:
                         self._tally("retries")
                         time.sleep(self._backoff_delay(attempt, job.job_id))
-                        continue
-                    result = JobResult(
-                        job=job,
-                        status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=attempt,
-                        duration_s=time.perf_counter() - start,
-                        cpu_s=time.process_time() - cpu0,
-                    )
-                    break
-                result = JobResult(
-                    job=job,
-                    status="ok",
-                    value=value,
-                    attempts=attempt,
-                    duration_s=time.perf_counter() - start,
-                    cpu_s=time.process_time() - cpu0,
-                    telemetry=telem,
-                )
-                break
+            result = JobResult(
+                job=job,
+                status="ok" if error is None else "failed",
+                value=value,
+                error=error,
+                attempts=attempt,
+                duration_s=time.perf_counter() - start,
+                cpu_s=time.process_time() - cpu0,
+                telemetry=telem,
+            )
             self._finish(results, index, result, span)
 
-    # -- multiprocessing execution -----------------------------------------
+    # -- resident-worker execution -----------------------------------------
 
-    def _context(self):
-        if self.mp_context is not None:
-            return multiprocessing.get_context(self.mp_context)
-        methods = multiprocessing.get_all_start_methods()
-        # fork skips re-import of the (already warm) library in every
-        # worker; fall back to the platform default elsewhere.
-        return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-    def _run_pool(
+    def _run_resident(
         self,
         jobs: Sequence[Job],
         to_run: Sequence[int],
         results: List[Optional[JobResult]],
     ) -> None:
-        ctx = self._context()
-        workers = max(1, self.workers)
-        heartbeat = self.heartbeat_every
-        if self.watchdog is not None and heartbeat <= 0:
-            # Default: beat a few times per watchdog window.
-            heartbeat = max(0.05, self.watchdog / 4.0)
-        pending: List[int] = list(to_run)
-        ready_at: Dict[int, float] = {i: 0.0 for i in pending}
-        attempts: Dict[int, int] = {i: 0 for i in pending}
-        started: Dict[int, float] = {}
-        spans: Dict[int, Any] = {}
-        active: List[_Active] = []
-        degraded: List[int] = []
-
-        def resolve_attempt(
-            entry: _Active, error: Optional[str], value, cpu_s, telemetry=None
-        ):
-            """One attempt ended (ok, error, crash or timeout)."""
-            index = entry.index
-            duration = time.perf_counter() - started[index]
-            if error is None:
-                self._finish(
-                    results,
-                    index,
-                    JobResult(
-                        job=jobs[index],
-                        status="ok",
-                        value=value,
-                        attempts=entry.attempt,
-                        duration_s=duration,
-                        cpu_s=cpu_s,
-                        telemetry=telemetry,
-                    ),
-                    spans.pop(index, None),
+        """Run the misses on one :class:`PersistentPool`; the pool owns
+        timeouts, the watchdog and the retry loop, this side finishes
+        (checkpoints, status, spans) each job as it completes."""
+        completed = queue.SimpleQueue()  # (index, JobResult) as they land
+        pool = PersistentPool(
+            workers=max(1, min(self.workers, len(to_run))),
+            timeout=self.timeout,
+            retries=self.retries,
+            backoff=self.backoff,
+            max_backoff=self.max_backoff,
+            backoff_jitter=self.backoff_jitter,
+            watchdog=self.watchdog,
+            job_telemetry=self.job_telemetry,
+            profile_sites=self.profile_sites,
+            sample_every=self.sample_every,
+            record_timelines=self.record_timelines,
+        ).start()
+        try:
+            tickets = {
+                index: pool.submit(
+                    jobs[index],
+                    callback=lambda result, i=index: completed.put((i, result)),
                 )
-            elif entry.attempt <= self.retries:
-                self._tally("retries")
-                self._running.pop(index, None)
-                ready_at[index] = time.perf_counter() + self._backoff_delay(
-                    entry.attempt, jobs[index].job_id
-                )
-                pending.append(index)
-            else:
-                self._finish(
-                    results,
-                    index,
-                    JobResult(
-                        job=jobs[index],
-                        status="failed",
-                        error=error,
-                        attempts=entry.attempt,
-                        duration_s=duration,
-                        cpu_s=cpu_s,
-                    ),
-                    spans.pop(index, None),
-                )
-
-        while pending or active:
-            now = time.perf_counter()
-            # -- launch ready jobs into free worker slots
-            launchable = [i for i in pending if ready_at[i] <= now]
-            while launchable and len(active) < workers:
-                index = launchable.pop(0)
-                pending.remove(index)
-                job = jobs[index]
-                attempts[index] += 1
-                if attempts[index] == 1:
-                    started[index] = time.perf_counter()
-                    if self.tracer is not None:
-                        spans[index] = self.tracer.start_span(
-                            "runner.job",
-                            job=job.label,
-                            id=job.job_id,
-                            cached=False,
-                        )
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        job.fn,
-                        job.config,
-                        child_conn,
-                        self.job_telemetry,
-                        self.profile_sites,
-                        self.sample_every,
-                        self.record_timelines,
-                        heartbeat if self.watchdog is not None else 0.0,
-                    ),
-                    daemon=True,
-                )
-                try:
-                    process.start()
-                except BaseException:  # noqa: BLE001 - sandboxed environments
-                    parent_conn.close()
-                    child_conn.close()
-                    self.stats["degraded"] = True
-                    if self.registry is not None:
-                        self.registry.inc("runner.degraded")
-                    attempts[index] -= 1
-                    degraded.append(index)
-                    continue
-                child_conn.close()
-                self._running[index] = job.label
-                self._publish_status()
-                timeout = self._job_timeout(job)
-                attempt_start = time.perf_counter()
-                active.append(
-                    _Active(
-                        index,
-                        attempts[index],
-                        process,
-                        parent_conn,
-                        attempt_start,
-                        attempt_start + timeout if timeout else None,
-                    )
-                )
-            if self.stats["degraded"] and not active:
-                break  # drain remaining work in-process below
-            if not active:
-                # everything pending is in backoff: sleep to the earliest
-                time.sleep(
-                    max(0.0, min(ready_at[i] for i in pending) - now)
-                )
-                continue
-            # -- wait for a result/heartbeat, the next deadline, the next
-            # backoff, or the next watchdog expiry
-            wait_for = [entry.conn for entry in active]
-            deadlines = [e.deadline for e in active if e.deadline is not None]
-            wake: List[float] = list(deadlines)
-            if self.watchdog is not None:
-                wake.extend(e.last_beat + self.watchdog for e in active)
-            if pending and len(active) < workers:
-                wake.append(min(ready_at[i] for i in pending))
-            timeout = max(0.0, min(wake) - now) if wake else None
-            ready = _wait_connections(wait_for, timeout)
-            now = time.perf_counter()
-            still_active: List[_Active] = []
-            for entry in active:
-                if entry.conn in ready:
-                    try:
-                        message = entry.conn.recv()
-                    except (EOFError, OSError):
-                        entry.process.join()
-                        code = entry.process.exitcode
-                        resolve_attempt(
-                            entry,
-                            f"WorkerCrash: worker exited with code {code} "
-                            "before reporting a result",
-                            None,
-                            0.0,
-                        )
-                    else:
-                        if message[0] == "hb":
-                            entry.last_beat = now
-                            still_active.append(entry)
-                            continue
-                        entry.process.join()
-                        if message[0] == "ok":
-                            _, value, cpu_s, telem = message
-                            resolve_attempt(entry, None, value, cpu_s, telem)
-                        else:
-                            _, error, _tb, cpu_s = message
-                            resolve_attempt(entry, error, None, cpu_s)
-                    entry.conn.close()
-                elif (
-                    self.watchdog is not None
-                    and now - entry.last_beat >= self.watchdog
-                ):
-                    entry.process.terminate()
-                    entry.process.join()
-                    entry.conn.close()
-                    self._tally("stuck")
-                    resolve_attempt(
-                        entry,
-                        f"Stuck: worker silent for {now - entry.last_beat:.1f}s "
-                        f"(watchdog {self.watchdog:.1f}s, "
-                        f"attempt {entry.attempt})",
-                        None,
-                        0.0,
-                    )
-                elif entry.deadline is not None and now >= entry.deadline:
-                    entry.process.terminate()
-                    entry.process.join()
-                    entry.conn.close()
-                    self._tally("timeouts")
-                    limit = self._job_timeout(jobs[entry.index])
-                    resolve_attempt(
-                        entry,
-                        f"Timeout: job exceeded {limit:.1f}s "
-                        f"(attempt {entry.attempt})",
-                        None,
-                        0.0,
-                    )
-                else:
-                    still_active.append(entry)
-            active = still_active
-        if self.stats["degraded"]:
-            leftovers = sorted(
-                set(degraded)
-                | {i for i in to_run if results[i] is None}
-            )
-            for index in leftovers:
-                span = spans.pop(index, None)
-                if span is not None:
-                    span.set("degraded", True)
-                    self.tracer.end_span(span)
-            self._run_inline(jobs, leftovers, results)
+                for index in to_run
+            }
+            self._tickets = list(tickets.values())
+            for _ in to_run:
+                index, result = completed.get()
+                counts = pool.status_snapshot()
+                for key in ("retries", "timeouts", "stuck"):
+                    if counts[key] > self.stats[key]:
+                        self._tally(key, counts[key] - self.stats[key])
+                span = self._start_span(result.job)
+                if span is not None and tickets[index].started is not None:
+                    span.start = tickets[index].started
+                self._finish(results, index, result, span)
+        finally:
+            # A finished sweep has nothing in flight; an interrupted one
+            # (Ctrl-C) gives in-flight jobs a second, then kills them.
+            pool.stop(timeout=1.0)
+        if pool.status_snapshot()["degraded"]:
+            self.stats["degraded"] = True
+            if self.registry is not None:
+                self.registry.inc("runner.degraded")
 
     # -- reporting ----------------------------------------------------------
 
@@ -746,9 +487,7 @@ class JobRunner:
             f"timeouts={s.get('timeouts', 0)} "
             f"failed={s.get('failures', 0)} "
             f"job_seconds={s.get('wall_seconds', 0.0):.1f}"
-            + (
-                f" stuck={s['stuck']}" if s.get("stuck") else ""
-            )
+            + (f" stuck={s['stuck']}" if s.get("stuck") else "")
             + (
                 f" corrupt_checkpoints={s['corrupt_checkpoints']}"
                 if s.get("corrupt_checkpoints")
@@ -763,53 +502,81 @@ class JobRunner:
 
 def _pool_worker_main(
     conn,
+    owner: int,
     telemetry: bool = True,
     sites: bool = False,
     sample_every: int = 1,
+    timelines: bool = False,
+    heartbeat: float = 0.0,
 ) -> None:
-    """Child-process entry for the persistent pool: serve jobs forever.
+    """Child-process entry for the pool (the only one): serve jobs until
+    told to stop or orphaned.
 
     Receives ``(seq, fn, config)`` tuples, replies ``("ok", seq, value,
     cpu_s, telem)`` or ``("error", seq, message, cpu_s)``.  A ``None``
-    message (or EOF on the pipe) is the shutdown signal.  One worker
-    runs many jobs over its lifetime — that is the point of the pool.
+    message (or EOF on the pipe) is the shutdown signal, and an idle
+    worker whose parent is no longer ``owner`` (the owner was killed)
+    exits on its own.  Telemetry options arrive as process args — never
+    through the job config, which is content-hashed into the job id.
+    With ``heartbeat`` > 0 a daemon thread sends ``("hb",)`` every
+    ``heartbeat`` seconds so the parent's watchdog can tell a slow job
+    from a wedged worker.
     """
+    # Termination belongs to the owner.  A handler inherited at fork
+    # (the serve daemon's drain handler) must not swallow terminate(),
+    # and a terminal Ctrl-C reaches the owner, which drains or stops
+    # the pool itself.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:
+            conn.send(message)
+
+    if heartbeat > 0:
+
+        def _beat() -> None:
+            while True:
+                time.sleep(heartbeat)
+                if _worker_wedged():
+                    # An injected hang swallows heartbeats too: the whole
+                    # point is to look dead so the watchdog must act.
+                    continue
+                try:
+                    send(("hb",))
+                except (OSError, ValueError):
+                    return
+
+        threading.Thread(target=_beat, daemon=True).start()
     while True:
         try:
+            if not conn.poll(_ORPHAN_POLL):
+                if os.getppid() != owner:
+                    return
+                continue
             message = conn.recv()
         except (EOFError, OSError):
             return
         if message is None:
-            try:
-                conn.close()
-            except OSError:
-                pass
             return
         seq, fn, config = message
         cpu0 = time.process_time()
         try:
-            job = Job(fn=fn, config=config)
-            if telemetry:
-                value, telem = run_job_traced(
-                    job, sites=sites, sample_every=sample_every
-                )
-            else:
-                value, telem = run_job(job), None
+            value, telem = _execute(
+                Job(fn=fn, config=config), telemetry, sites, sample_every,
+                timelines,
+            )
+            reply = ("ok", seq, value, time.process_time() - cpu0, telem)
         except BaseException as exc:  # noqa: BLE001 - job failures are data
-            try:
-                conn.send(
-                    (
-                        "error",
-                        seq,
-                        f"{type(exc).__name__}: {exc}",
-                        time.process_time() - cpu0,
-                    )
-                )
-            except OSError:
-                return
-            continue
+            reply = (
+                "error",
+                seq,
+                f"{type(exc).__name__}: {exc}",
+                time.process_time() - cpu0,
+            )
         try:
-            conn.send(("ok", seq, value, time.process_time() - cpu0, telem))
+            send(reply)
         except OSError:
             return
 
@@ -817,12 +584,14 @@ def _pool_worker_main(
 class PoolTicket:
     """Handle for one job submitted to a :class:`PersistentPool`."""
 
-    __slots__ = ("seq", "job", "result", "_event")
+    __slots__ = ("seq", "job", "result", "started", "_event")
 
     def __init__(self, seq: int, job: Job) -> None:
         self.seq = seq
         self.job = job
         self.result: Optional[JobResult] = None
+        #: ``perf_counter`` instant of the first dispatch to a worker
+        self.started: Optional[float] = None
         self._event = threading.Event()
 
     def done(self) -> bool:
@@ -842,71 +611,90 @@ class PoolTicket:
 class _PoolWorker:
     """One persistent child process and its duplex pipe."""
 
-    __slots__ = ("process", "conn", "inflight")
+    __slots__ = ("process", "conn", "inflight", "last_beat")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.inflight: Optional[int] = None  # seq of the job it is running
+        #: last sign of life (dispatch, heartbeat) for the watchdog
+        self.last_beat = time.perf_counter()
 
 
 class _PoolEntry:
     """Parent-side book-keeping for one submitted job."""
 
-    __slots__ = ("ticket", "callback", "attempt", "start", "deadline")
+    __slots__ = ("ticket", "callback", "attempt", "deadline", "ready_at")
 
     def __init__(self, ticket: PoolTicket, callback) -> None:
         self.ticket = ticket
         self.callback = callback
         self.attempt = 0
-        self.start = time.perf_counter()
         self.deadline: Optional[float] = None
+        #: a retry is not dispatched before this ``perf_counter`` instant
+        self.ready_at = 0.0
 
 
 @dataclass
-class PersistentPool:
-    """A worker pool that outlives a single batch — jobs stream in.
+class PersistentPool(_Backoff):
+    """``workers`` resident child processes fed jobs as they arrive.
 
-    Where :class:`JobRunner` forks one process per attempt and winds
-    everything down when its batch completes, the pool keeps
-    ``workers`` long-lived child processes and feeds them jobs as they
-    arrive: the execution backend for the ``repro serve`` daemon, where
-    submissions trickle in over hours and a fork per analysis would
-    dominate latency.  :meth:`submit` returns a :class:`PoolTicket`
-    immediately; jobs complete out of order; an optional ``callback``
-    fires (on the dispatcher thread) with the finished
-    :class:`JobResult`.
-
-    The runner's resilience carries over:
+    The execution backend of the ``repro serve`` daemon (submissions
+    trickle in over hours; a fork per analysis would dominate latency)
+    and of :class:`JobRunner` sweeps.  :meth:`submit` returns a
+    :class:`PoolTicket` immediately; jobs complete out of order; an
+    optional ``callback`` fires (on the dispatcher thread) with the
+    finished :class:`JobResult`.  Resilience:
 
     * a worker that **crashes** mid-job is respawned and the job
       retried, up to ``retries`` times, then failed structurally
       (``JobResult.status == "failed"`` — never an exception);
-    * consecutive respawns back off exponentially
+    * retries wait ``backoff * 2**(attempt-1)`` seconds (capped at
+      ``max_backoff``, optionally with deterministic jitter — see
+      :class:`JobRunner`); ``backoff=0`` retries at once;
+    * consecutive crash respawns back off exponentially
       (``respawn_backoff`` doubling per cycle, capped at 1s), and a
-      **respawn storm** — ``respawn_limit`` cycles without any worker
+      **respawn storm** — ``respawn_limit`` crashes without any worker
       delivering a result — stops the forking altogether: the pool
       degrades to inline threads and increments ``pool.respawn_storm``
       rather than thrash forever against a poisoned environment;
     * a job past ``timeout`` seconds (``job.timeout`` overrides) has
       its worker terminated and respawned, same retry policy;
+    * with ``watchdog`` set, workers heartbeat; one that stays silent
+      for ``watchdog`` seconds mid-job is declared **stuck**,
+      terminated and respawned, same retry policy; timeouts and stuck
+      workers are not crashes and never trip the storm guard;
     * if child processes cannot be spawned at all (restricted
       sandboxes) the pool **degrades** to in-process threads —
       ``degraded`` flips in :meth:`status_snapshot` and timeouts
       become best-effort;
+    * workers die with their owner: an idle worker whose parent is
+      gone exits within a second;
     * per-job telemetry payloads (metrics + spans) merge into
       ``registry``/``tracer`` as each job completes, and ``pool.*``
       counters track submissions, completions, failures, crashes,
-      timeouts, retries and respawns.
+      timeouts, stuck workers, retries and respawns.
     """
 
     workers: int = 2
     timeout: Optional[float] = None
     retries: int = 1
+    #: base of the exponential retry backoff (0 = retry at once)
+    backoff: float = 0.0
+    #: ceiling on any single retry delay, jitter included
+    max_backoff: float = 30.0
+    #: relative jitter width (0 = none); deterministic per (job id, attempt)
+    backoff_jitter: float = 0.0
+    #: seconds an executing worker may stay silent before it is
+    #: declared stuck; ``None`` disables heartbeats and the watchdog
+    watchdog: Optional[float] = None
     job_telemetry: bool = True
+    #: hot-site profiling / timelines inside each job's telemetry scope
+    profile_sites: bool = False
+    sample_every: int = 1
+    record_timelines: bool = False
     registry: Any = None  # MetricsRegistry-compatible (duck-typed)
     tracer: Any = None  # Tracer-compatible (duck-typed)
-    mp_context: Optional[str] = None
     #: force in-process (threaded) execution — tests and sandboxes
     inline: bool = False
     #: consecutive crash→respawn cycles (with no worker delivering a
@@ -943,6 +731,7 @@ class PersistentPool:
             "retries": 0,
             "crashes": 0,
             "timeouts": 0,
+            "stuck": 0,
             "respawns": 0,
             "respawn_storm": 0,
         }
@@ -955,17 +744,14 @@ class PersistentPool:
                 return self
             self._started = True
             self._stopping = False
-            ctx = (
-                multiprocessing.get_context(self.mp_context)
-                if self.mp_context is not None
-                else multiprocessing.get_context(
-                    "fork"
-                    if "fork" in multiprocessing.get_all_start_methods()
-                    else None
-                )
+            # fork skips re-importing the (already warm) library in
+            # every worker; fall back to the platform default elsewhere.
+            self._ctx = multiprocessing.get_context(
+                "fork"
+                if "fork" in multiprocessing.get_all_start_methods()
+                else None
             )
-            self._ctx = ctx
-            self._wake_r, self._wake_w = ctx.Pipe(duplex=False)
+            self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
             if not self.inline:
                 for _ in range(self.workers):
                     worker = self._spawn_worker()
@@ -986,10 +772,20 @@ class PersistentPool:
 
     def _spawn_worker(self) -> Optional[_PoolWorker]:
         """Fork one persistent worker; ``None`` on failure (sandbox)."""
+        # Beat a few times per watchdog window.
+        heartbeat = max(0.05, self.watchdog / 4.0) if self.watchdog else 0.0
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child_conn, self.job_telemetry),
+            args=(
+                child_conn,
+                os.getpid(),
+                self.job_telemetry,
+                self.profile_sites,
+                self.sample_every,
+                self.record_timelines,
+                heartbeat,
+            ),
             daemon=True,
         )
         try:
@@ -1009,21 +805,14 @@ class PersistentPool:
         (up to ``timeout`` seconds), then tear the workers down.
         Idempotent."""
         with self._lock:
-            if not self._started or self._stopping:
-                thread = None
-                if self._started and self._thread is not None:
-                    thread = self._thread
-            else:
-                self._stopping = True
-                thread = self._thread
-        if thread is None:
-            return
+            if not self._started:
+                return
+            self._stopping = True
         self._notify()
-        thread.join(timeout=timeout)
-        leftovers: List[int] = []
+        self._thread.join(timeout=timeout)
         with self._lock:
             workers, self._workers = self._workers, []
-            leftovers = [s for s in self._entries]
+            leftovers = list(self._entries)
             self._queue = []
         for worker in workers:
             try:
@@ -1042,6 +831,7 @@ class PersistentPool:
         for seq in leftovers:
             self._resolve(seq, error="PoolStopped: pool shut down", cpu_s=0.0,
                           retryable=False)
+        self._notify()  # lets a dispatcher cut short by ``timeout`` exit
 
     def __enter__(self) -> "PersistentPool":
         return self.start()
@@ -1069,28 +859,15 @@ class PersistentPool:
             self._entries[seq] = _PoolEntry(ticket, callback)
             self._queue.append(seq)
             self._counts["submitted"] += 1
+            pending = len(self._queue)
         if self.registry is not None:
             self.registry.inc("pool.submitted")
-            self.registry.set_gauge("pool.pending", self.pending())
+            self.registry.set_gauge("pool.pending", pending)
         self._notify()
         return ticket
 
-    def pending(self) -> int:
-        """Jobs waiting for a worker slot (not yet dispatched)."""
-        with self._lock:
-            return len(self._queue)
-
-    def busy(self) -> int:
-        """Jobs currently executing (process workers + inline threads)."""
-        with self._lock:
-            return (
-                sum(1 for w in self._workers if w.inflight is not None)
-                + self._inline_busy
-            )
-
     def status_snapshot(self) -> Dict[str, Any]:
         with self._lock:
-            counts = dict(self._counts)
             return {
                 "workers": len(self._workers) or (
                     self.workers if (self.inline or self._degraded) else 0
@@ -1101,7 +878,7 @@ class PersistentPool:
                 "pending": len(self._queue),
                 "inflight": len(self._entries) - len(self._queue),
                 "degraded": self._degraded or self.inline,
-                **counts,
+                **self._counts,
             }
 
     # -- dispatcher ---------------------------------------------------------
@@ -1118,12 +895,9 @@ class PersistentPool:
         while True:
             with self._lock:
                 self._assign_locked()
-                conns = [
-                    w.conn for w in self._workers if w.inflight is not None
-                ]
-                idle_conns = [
-                    w.conn for w in self._workers if w.inflight is None
-                ]
+                # Idle workers' conns are watched too: a spontaneous child
+                # death shows up as EOF and triggers a respawn.
+                conns = [w.conn for w in self._workers] + [self._wake_r]
                 wake = self._next_deadline_locked()
                 finished = self._stopping and not self._entries
             if finished:
@@ -1131,11 +905,10 @@ class PersistentPool:
             timeout = None
             if wake is not None:
                 timeout = max(0.0, wake - time.perf_counter())
-            # Idle workers' conns are watched too: a spontaneous child
-            # death shows up as EOF and triggers a respawn.
-            ready = _wait_connections(
-                conns + idle_conns + [self._wake_r], timeout
-            )
+            try:
+                ready = _wait_connections(conns, timeout)
+            except (OSError, ValueError):
+                continue  # stop() closed a worker pipe under us
             if self._wake_r in ready:
                 while self._wake_r.poll():
                     try:
@@ -1147,25 +920,36 @@ class PersistentPool:
                     self._drain_worker(worker)
             self._check_deadlines()
 
+    def _claim_locked(self, now: float) -> Optional[_PoolEntry]:
+        """Dequeue the oldest job whose retry backoff has passed and
+        count its attempt; ``None`` if none is ready. Caller holds the
+        lock."""
+        for i, seq in enumerate(self._queue):
+            entry = self._entries[seq]
+            if entry.ready_at <= now:
+                del self._queue[i]
+                entry.attempt += 1
+                if entry.ticket.started is None:
+                    entry.ticket.started = now
+                return entry
+        return None
+
     def _assign_locked(self) -> None:
         """Hand queued jobs to idle workers (or inline threads). Caller
         holds the lock."""
         if self._stopping:
             return
         self._refill_workers_locked()
+        now = time.perf_counter()
         for worker in self._workers:
-            if not self._queue:
-                break
             if worker.inflight is not None:
                 continue
-            seq = self._queue.pop(0)
-            entry = self._entries[seq]
-            entry.attempt += 1
-            job = entry.ticket.job
+            entry = self._claim_locked(now)
+            if entry is None:
+                break
+            seq, job = entry.ticket.seq, entry.ticket.job
             limit = job.timeout if job.timeout is not None else self.timeout
-            entry.deadline = (
-                time.perf_counter() + limit if limit else None
-            )
+            entry.deadline = now + limit if limit else None
             try:
                 worker.conn.send((seq, job.fn, job.config))
             except (OSError, ValueError):
@@ -1175,17 +959,18 @@ class PersistentPool:
                 self._replace_worker_locked(worker)
                 continue
             worker.inflight = seq
+            worker.last_beat = now
         if (self.inline or self._degraded) and not self._workers:
-            while self._queue and self._inline_busy < self.workers:
-                seq = self._queue.pop(0)
-                entry = self._entries[seq]
-                entry.attempt += 1
+            while self._inline_busy < self.workers:
+                entry = self._claim_locked(now)
+                if entry is None:
+                    break
                 entry.deadline = None  # threads cannot be killed
                 self._inline_busy += 1
                 threading.Thread(
                     target=self._run_inline,
-                    args=(seq,),
-                    name=f"repro-pool-inline-{seq}",
+                    args=(entry.ticket.seq,),
+                    name=f"repro-pool-inline-{entry.ticket.seq}",
                     daemon=True,
                 ).start()
         if self.registry is not None:
@@ -1202,6 +987,18 @@ class PersistentPool:
             for e in self._entries.values()
             if e.deadline is not None
         ]
+        now = time.perf_counter()
+        deadlines.extend(
+            self._entries[seq].ready_at
+            for seq in self._queue
+            if self._entries[seq].ready_at > now
+        )
+        if self.watchdog is not None:
+            deadlines.extend(
+                w.last_beat + self.watchdog
+                for w in self._workers
+                if w.inflight is not None
+            )
         if (
             self._respawn_at is not None
             and not (self.inline or self._degraded or self._stopping)
@@ -1210,9 +1007,13 @@ class PersistentPool:
             deadlines.append(self._respawn_at)
         return min(deadlines) if deadlines else None
 
-    def _replace_worker_locked(self, worker: _PoolWorker) -> None:
+    def _replace_worker_locked(
+        self, worker: _PoolWorker, crashed: bool = True
+    ) -> None:
         """Retire a dead worker; the dispatcher refills the slot after
-        the respawn backoff window passes. Caller holds the lock."""
+        the respawn backoff window passes. Caller holds the lock. Only
+        a ``crashed`` worker counts toward the respawn storm; one reaped
+        for a timeout or by the watchdog adds no respawn delay."""
         try:
             worker.conn.close()
         except OSError:
@@ -1227,6 +1028,8 @@ class PersistentPool:
         self._counts["respawns"] += 1
         if self.registry is not None:
             self.registry.inc("pool.respawns")
+        if not crashed:
+            return
         self._respawn_streak += 1
         if self._respawn_streak > self.respawn_limit:
             # Respawn storm: fresh workers keep dying before any of
@@ -1249,21 +1052,13 @@ class PersistentPool:
     def _refill_workers_locked(self) -> None:
         """Top retired worker slots back up once the respawn backoff
         window has passed. Caller holds the lock."""
-        if (
-            self.inline
-            or self._degraded
-            or self._stopping
-            or not self._started
-        ):
+        if self.inline or self._degraded or self._stopping:
             return
         missing = self.workers - len(self._workers)
         if missing <= 0:
             self._respawn_at = None
             return
-        if (
-            self._respawn_at is not None
-            and time.perf_counter() < self._respawn_at
-        ):
+        if self._respawn_at is not None and time.perf_counter() < self._respawn_at:
             return
         self._respawn_at = None
         for _ in range(missing):
@@ -1299,6 +1094,9 @@ class PersistentPool:
             return
         kind = message[0]
         with self._lock:
+            worker.last_beat = time.perf_counter()
+            if kind == "hb":
+                return
             worker.inflight = None
             # Any delivered message — success or a clean job error —
             # proves workers can survive a job: the storm is over.
@@ -1311,68 +1109,62 @@ class PersistentPool:
             self._resolve(seq, error=error, cpu_s=cpu_s)
 
     def _check_deadlines(self) -> None:
+        """Reap workers past their job's deadline (``timeouts``) or
+        silent past the watchdog window (``stuck``)."""
         now = time.perf_counter()
-        expired: List[Tuple[_PoolWorker, int]] = []
+        expired: List[Tuple[int, str, str]] = []
         with self._lock:
             for worker in list(self._workers):
                 seq = worker.inflight
-                if seq is None:
+                entry = self._entries.get(seq) if seq is not None else None
+                if entry is None:
                     continue
-                entry = self._entries.get(seq)
-                if entry is None or entry.deadline is None:
+                silent = now - worker.last_beat
+                if self.watchdog is not None and silent >= self.watchdog:
+                    kind = "stuck"
+                    error = (
+                        f"Stuck: worker silent for {silent:.1f}s "
+                        f"(watchdog {self.watchdog:.1f}s, "
+                        f"attempt {entry.attempt})"
+                    )
+                elif entry.deadline is not None and now >= entry.deadline:
+                    kind = "timeouts"
+                    limit = entry.ticket.job.timeout or self.timeout
+                    error = (
+                        f"Timeout: job exceeded {limit:.1f}s "
+                        f"(attempt {entry.attempt})"
+                    )
+                else:
                     continue
-                if now >= entry.deadline:
-                    worker.inflight = None
-                    self._replace_worker_locked(worker)
-                    self._counts["timeouts"] += 1
-                    expired.append((worker, seq))
-        for worker, seq in expired:
+                worker.inflight = None
+                self._replace_worker_locked(worker, crashed=False)
+                self._counts[kind] += 1
+                expired.append((seq, kind, error))
+        for seq, kind, error in expired:
             if self.registry is not None:
-                self.registry.inc("pool.timeouts")
-            entry = self._entries.get(seq)
-            limit = None
-            if entry is not None:
-                job = entry.ticket.job
-                limit = job.timeout if job.timeout is not None else self.timeout
-            self._resolve(
-                seq,
-                error=(
-                    f"Timeout: job exceeded "
-                    f"{limit if limit is not None else 0.0:.1f}s"
-                ),
-                cpu_s=0.0,
-            )
+                self.registry.inc(f"pool.{kind}")
+            self._resolve(seq, error=error, cpu_s=0.0)
 
     def _run_inline(self, seq: int) -> None:
         """Degraded path: one job on one parent-process thread."""
         with self._lock:
             entry = self._entries.get(seq)
-        if entry is None:
-            with self._lock:
+            if entry is None:
                 self._inline_busy -= 1
-            return
+                return
         job = entry.ticket.job
         cpu0 = time.process_time()
         try:
-            if self.job_telemetry:
-                value, telem = run_job_traced(job)
-            else:
-                value, telem = run_job(job), None
-        except BaseException as exc:  # noqa: BLE001
-            with self._lock:
-                self._inline_busy -= 1
-            self._resolve(
-                seq,
-                error=f"{type(exc).__name__}: {exc}",
-                cpu_s=time.process_time() - cpu0,
+            value, telem = _execute(
+                job, self.job_telemetry, self.profile_sites,
+                self.sample_every, self.record_timelines,
             )
-            self._notify()
-            return
+            outcome = {"value": value, "telemetry": telem}
+        except BaseException as exc:  # noqa: BLE001
+            outcome = {"error": f"{type(exc).__name__}: {exc}"}
         with self._lock:
             self._inline_busy -= 1
-        self._resolve(
-            seq, value=value, cpu_s=time.process_time() - cpu0, telemetry=telem
-        )
+        self._resolve(seq, cpu_s=time.process_time() - cpu0, **outcome)
         self._notify()
 
     # -- completion ---------------------------------------------------------
@@ -1386,7 +1178,8 @@ class PersistentPool:
         telemetry: Optional[Dict[str, Any]] = None,
         retryable: bool = True,
     ) -> None:
-        """One attempt ended; retry or deliver the final JobResult."""
+        """One attempt ended; retry (after the backoff) or deliver the
+        final JobResult."""
         with self._lock:
             entry = self._entries.get(seq)
             if entry is None:
@@ -1398,18 +1191,24 @@ class PersistentPool:
                 and not self._stopping
             ):
                 self._counts["retries"] += 1
+                entry.deadline = None
+                entry.ready_at = time.perf_counter() + self._backoff_delay(
+                    entry.attempt, entry.ticket.job.job_id
+                )
                 self._queue.append(seq)
                 requeued = True
             else:
                 del self._entries[seq]
                 requeued = False
+                started = entry.ticket.started
+                now = time.perf_counter()
                 result = JobResult(
                     job=entry.ticket.job,
                     status="ok" if error is None else "failed",
                     value=value,
                     error=error,
                     attempts=max(1, entry.attempt),
-                    duration_s=time.perf_counter() - entry.start,
+                    duration_s=now - started if started is not None else 0.0,
                     cpu_s=cpu_s,
                     telemetry=telemetry,
                 )

@@ -94,6 +94,12 @@ _FLAG_CRC32 = 0x02
 #: Events per binary chunk: large enough to amortize headers and
 #: compression, small enough that streaming replay stays lightweight.
 DEFAULT_CHUNK_EVENTS = 4096
+#: Hostile-input bounds on one chunk: its event count, and the bytes its
+#: sync-name table may add to the records (``raw_len`` can exceed
+#: ``n_events * _RECORD.size`` by at most this much).  Together they cap
+#: what one chunk header can make a reader inflate.
+_MAX_CHUNK_EVENTS = 1 << 20
+_MAX_NAME_TABLE = 1 << 20
 
 #: Numpy view of the packed record stream: one field per :data:`_RECORD`
 #: column, no padding (``itemsize == _RECORD.size``), so a whole chunk
@@ -255,6 +261,8 @@ def _encode_chunk(
     for name in names:
         raw = name.encode("utf-8")
         table += _NAME_LEN.pack(len(raw)) + raw
+    if len(events) > _MAX_CHUNK_EVENTS or len(table) > _MAX_NAME_TABLE:
+        raise ValueError("trace chunk exceeds the readable size bounds")
     payload = bytes(table) + bytes(records)
     flags = 0
     stored = payload
@@ -329,12 +337,28 @@ def _read_chunk_raw(
 def _verify_stored(
     stored: bytes,
     flags: int,
+    n_events: int,
     raw_len: int,
     path: object,
     index: int,
     offset: int,
 ) -> bytes:
-    """Checksum-verify and decompress one chunk's stored bytes."""
+    """Checksum-verify and decompress one chunk's stored bytes.
+
+    The header is checked first and the inflate is bounded by its
+    ``raw_len``, so a small upload cannot make the reader allocate more
+    than the header admits (a decompression bomb fails after
+    ``raw_len + 1`` bytes).
+    """
+    if not (
+        n_events * _RECORD.size <= raw_len
+        <= n_events * _RECORD.size + _MAX_NAME_TABLE
+    ) or n_events > _MAX_CHUNK_EVENTS:
+        raise _corrupt(
+            path, index, offset,
+            f"implausible chunk header ({n_events} events, "
+            f"{raw_len} payload bytes)",
+        )
     if flags & _FLAG_CRC32:
         if len(stored) < _CRC.size:
             raise _corrupt(path, index, offset, "chunk too short for its checksum")
@@ -346,10 +370,20 @@ def _verify_stored(
                 path, index, offset,
                 f"CRC mismatch (stored {expected:#010x}, computed {actual:#010x})",
             )
-    try:
-        payload = zlib.decompress(stored) if flags & _FLAG_ZLIB else stored
-    except zlib.error as exc:
-        raise _corrupt(path, index, offset, f"decompression failed: {exc}") from None
+    payload = stored
+    if flags & _FLAG_ZLIB:
+        inflater = zlib.decompressobj()
+        try:
+            payload = inflater.decompress(stored, raw_len + 1)
+        except zlib.error as exc:
+            raise _corrupt(
+                path, index, offset, f"decompression failed: {exc}"
+            ) from None
+        if len(payload) <= raw_len and not inflater.eof:
+            raise _corrupt(
+                path, index, offset,
+                "decompression failed: incomplete or truncated stream",
+            )
     if len(payload) != raw_len:
         raise _corrupt(
             path, index, offset,
@@ -374,7 +408,9 @@ def _decode_stored(
     :class:`ValueError` with file, chunk and offset context.  A failure
     here damages only this chunk; the file remains walkable.
     """
-    payload = _verify_stored(stored, flags, raw_len, path, index, offset)
+    payload = _verify_stored(
+        stored, flags, n_events, raw_len, path, index, offset
+    )
     try:
         return _decode_payload(payload, n_events)
     except (ValueError, struct.error, IndexError, UnicodeDecodeError) as exc:
@@ -433,7 +469,9 @@ def _decode_stored_chunk(
     tid: int,
 ) -> TraceChunk:
     """Column-array twin of :func:`_decode_stored` (same error surface)."""
-    payload = _verify_stored(stored, flags, raw_len, path, index, offset)
+    payload = _verify_stored(
+        stored, flags, n_events, raw_len, path, index, offset
+    )
     try:
         return _payload_to_chunk(tid, payload, n_events)
     except (ValueError, struct.error, IndexError, UnicodeDecodeError) as exc:

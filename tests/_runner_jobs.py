@@ -48,7 +48,7 @@ def flaky(counter_file, fail_times=1, value="eventually"):
     """Fail the first ``fail_times`` calls, then succeed.
 
     Attempts are counted in a file so the count survives process
-    boundaries (each pool attempt runs in a fresh worker).
+    boundaries (a retry may run in another worker process).
     """
     count = 0
     if os.path.exists(counter_file):
@@ -109,3 +109,8 @@ def deadlock_job():
 
     Program(main).run(policy=RoundRobinPolicy())
     return "unreachable"
+
+
+def worker_pid(i=0):
+    """Report which process ran the job."""
+    return os.getpid()

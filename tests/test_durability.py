@@ -575,6 +575,18 @@ class TestDaemonKill:
 
         report = run_daemon_kill(tmp_path / "dk", seed=2, submissions=3,
                                  workers=2)
+        # The SIGKILLed daemon's pool workers must not outlive it.
+        spool = str(tmp_path / "dk" / "spool")
+        deadline = time.monotonic() + 5.0
+        while _processes_mentioning(spool) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = _processes_mentioning(spool)
+        for pid in survivors:  # reap them either way, then fail
+            try:
+                os.kill(pid, 9)
+            except OSError:
+                pass
+        assert survivors == []
         assert report["accepted"] == 3
         assert report["lost"] == []
         assert report["failed"] == []
@@ -582,6 +594,22 @@ class TestDaemonKill:
         assert report["matched"] == 3
         assert report["ok"] is True
         assert (tmp_path / "dk" / "daemon_kill_report.json").exists()
+
+
+def _processes_mentioning(text: str) -> list:
+    """PIDs whose command line contains ``text`` (Linux ``/proc``)."""
+    needle = text.encode()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                if needle in fh.read():
+                    pids.append(int(entry))
+        except OSError:
+            continue
+    return pids
 
 
 # -- service status surfaces durability -------------------------------------

@@ -12,9 +12,9 @@ Four groups, matching the hot-path refactor's guarantees:
 3. **Verdict invariance** — the fused dispatch + same-epoch-filter hot
    path raises a race exception iff the pre-refactor reference stack
    (``fused=False``, filter off) does, with identical provenance.
-4. **Offline analysis equivalence** — scalar, ``check_block`` batch and
-   sharded-parallel trace analysis agree on every verdict, racing pair
-   and ``clean.*`` counter total, and race-free replays are counter-exact
+4. **Offline analysis equivalence** — scalar and ``check_block`` batch
+   trace analysis agree on every verdict, racing pair and ``clean.*``
+   counter total, and race-free replays are counter-exact
    against the live run that recorded them.
 """
 
@@ -323,7 +323,7 @@ class TestVerdictInvariance:
 
 
 # ---------------------------------------------------------------------------
-# 4. Offline analysis equivalence (scalar / batch / sharded)
+# 4. Offline analysis equivalence (scalar / batch)
 # ---------------------------------------------------------------------------
 
 
@@ -373,8 +373,7 @@ def assert_same_race(left, right):
 
 
 class TestAnalysisEquivalence:
-    """``check_block`` and the sharded runner are drop-in equivalents of
-    the scalar path: same verdict, same racing pair, same ``clean.*``
+    """``check_block`` is a drop-in equivalent of the scalar path: same verdict, same racing pair, same ``clean.*``
     counter totals on every trace."""
 
     @settings(max_examples=25, deadline=None)
@@ -416,36 +415,6 @@ class TestAnalysisEquivalence:
             report = analyze_trace(recorder.trace, mode=mode)
             assert not report.racy
             assert report.counters == clean_counters(clean), mode
-
-    def test_sharded_equals_scalar_on_racy_trace(self, tmp_path):
-        # Seeds chosen so the recorded interleaving contains a race.
-        program, _plan = make_random_program(
-            0, n_threads=3, ops_per_thread=10, race_probability=0.9
-        )
-        path = tmp_path / "racy.trace"
-        record_only(program, 0).save(path)
-        scalar = analyze_trace(path, mode="scalar")
-        assert scalar.racy
-        sharded = analyze_trace(path, mode="sharded", shards=3, workers=2)
-        assert sharded.racy
-        assert_same_race(scalar.race, sharded.race)
-        assert scalar.race["position"] == sharded.race["position"]
-        assert scalar.counters == sharded.counters
-        assert sharded.shards == 3
-        assert len(sharded.shard_stats) == 3
-
-    def test_sharded_equals_scalar_on_race_free_trace(self, tmp_path):
-        program, _plan = make_random_program(
-            1, n_threads=3, ops_per_thread=12, race_probability=0.0
-        )
-        path = tmp_path / "clean.trace"
-        record_only(program, 1).save(path)
-        scalar = analyze_trace(path, mode="scalar")
-        assert not scalar.racy
-        sharded = analyze_trace(path, mode="sharded", shards=3, workers=2)
-        assert not sharded.racy
-        assert sharded.race is None
-        assert scalar.counters == sharded.counters
 
     def test_legacy_traces_are_rejected(self):
         # Pre-batch recorders left the SYNC address field zero; without
