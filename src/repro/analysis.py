@@ -10,8 +10,11 @@ and drives the CLEAN detector over the trace, entirely offline:
 
 * **scalar** mode replays one access at a time through the exact
   per-event monitor path;
-* **batch** mode hands each synchronization-free run to the vectorized
-  ``check_block`` lane — same verdicts, same counters, much faster.
+* **batch** mode hands each synchronization-free run of ``BATCH_MIN``
+  or more shared accesses to the vectorized ``check_block`` lane, and
+  joins runs of shorter ones in *windows* through ``check_window``,
+  each segment against the vector clock its thread held when it ended
+  — same verdicts, same counters, much faster.
 
 Replay order
 ------------
@@ -31,6 +34,7 @@ rejected with a clear error — re-record the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -38,7 +42,7 @@ import numpy as np
 from .clean import CleanMonitor
 from .core.detector import CleanDetector
 from .core.epoch import DEFAULT_LAYOUT, EpochLayout
-from .core.exceptions import RaceException
+from .core.exceptions import MetadataError, RaceException
 from .runtime.trace import SYNC, StreamingTrace, Trace, open_trace
 
 __all__ = ["AnalysisReport", "analyze_trace"]
@@ -83,21 +87,20 @@ class AnalysisReport:
 class _Cols:
     """One thread's full event stream as numpy columns."""
 
-    __slots__ = ("kinds", "addresses", "sizes", "private", "sync_names")
+    __slots__ = (
+        "kinds", "addresses", "sizes", "private", "sync_pos", "sync_names"
+    )
 
     def __init__(self, trace: object, tid: int) -> None:
         kinds, addresses, sizes, private = [], [], [], []
-        names: Dict[int, str] = {}
-        base = 0
+        names: List[str] = []
         for chunk in trace.iter_chunks(tid):
             k = chunk.kinds
             kinds.append(k)
             addresses.append(chunk.addresses.astype(np.int64))
             sizes.append(chunk.sizes.astype(np.int64))
             private.append(chunk.private)
-            for pos in np.flatnonzero(k == 2):
-                names[base + int(pos)] = chunk.sync_name_at(int(pos))
-            base += len(chunk)
+            names.extend(map(chunk.sync_name_at, np.flatnonzero(k == 2)))
         if kinds:
             self.kinds = np.concatenate(kinds)
             self.addresses = np.concatenate(addresses)
@@ -108,21 +111,12 @@ class _Cols:
             self.addresses = np.zeros(0, dtype=np.int64)
             self.sizes = np.zeros(0, dtype=np.int64)
             self.private = np.zeros(0, dtype=bool)
-        #: event position -> sync descriptor
+        #: positions of the sync events, and their descriptors
+        self.sync_pos = np.flatnonzero(self.kinds == 2)
         self.sync_names = names
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-
-@dataclass(frozen=True)
-class _SyncPoint:
-    """One sync commit: global order, owning thread, position, descriptor."""
-
-    order: int
-    tid: int
-    pos: int  # index into the thread's event columns
-    descriptor: str
 
 
 class _Plan:
@@ -132,46 +126,47 @@ class _Plan:
         self.cols: Dict[int, _Cols] = {
             tid: _Cols(trace, tid) for tid in trace.thread_ids()
         }
-        self.syncs: List[_SyncPoint] = []
+        #: (global order, tid, position, kind, argument) per sync commit,
+        #: in global order; ``"Acquire:L"`` splits into kind and argument.
+        self.syncs: List[Tuple[int, int, int, str, str]] = []
+        split: Dict[str, Tuple[str, str]] = {}
         for tid, cols in self.cols.items():
-            for pos in np.flatnonzero(cols.kinds == 2):
-                pos = int(pos)
-                order = int(cols.addresses[pos])
+            for order, pos, name in zip(
+                cols.addresses[cols.sync_pos].tolist(),
+                cols.sync_pos.tolist(),
+                cols.sync_names,
+            ):
                 if order <= 0:
                     raise ValueError(
                         "trace has sync events without replayable "
                         "descriptors (recorded before the descriptor "
                         "format); re-record it to analyze offline"
                     )
-                self.syncs.append(
-                    _SyncPoint(order, tid, pos, cols.sync_names[pos])
-                )
-        self.syncs.sort(key=lambda s: s.order)
+                parts = split.get(name)
+                if parts is None:
+                    parts = split[name] = name.partition(":")[::2]
+                self.syncs.append((order, tid, pos, *parts))
+        self.syncs.sort(key=itemgetter(0))
         # Per (barrier, generation) episode: arrivers in arrival order.
         # Departs of the whole episode apply at its last arrival — the
         # moment the live barrier tripped.
         self.episodes: Dict[str, List[int]] = {}
-        episode_orders: Dict[str, List[int]] = {}
-        for s in self.syncs:
-            if s.descriptor.startswith("BarrierWait:"):
-                key = s.descriptor[len("BarrierWait:"):]
-                self.episodes.setdefault(key, []).append(s.tid)
-                episode_orders.setdefault(key, []).append(s.order)
+        last_arrival: Dict[str, int] = {}
+        spawned = set()
+        for o, t, _p, kind, rest in self.syncs:
+            if kind == "BarrierWait":
+                self.episodes.setdefault(rest, []).append(t)
+                last_arrival[rest] = o
+            elif kind == "Spawn":
+                spawned.add(int(rest))
         self.trips: Dict[int, str] = {
-            max(orders): key for key, orders in episode_orders.items()
-        }
-        spawned = {
-            int(s.descriptor.split(":", 1)[1])
-            for s in self.syncs
-            if s.descriptor.startswith("Spawn:")
+            o: key for key, o in last_arrival.items()
         }
         roots = [tid for tid in self.cols if tid not in spawned]
         self.root = min(roots) if roots else min(self.cols, default=0)
         self.threads = len(self.cols)
         self.events = sum(len(c) for c in self.cols.values())
-        self.accesses = int(
-            sum(int((c.kinds != 2).sum()) for c in self.cols.values())
-        )
+        self.accesses = self.events - len(self.syncs)
 
     def min_max_threads(self) -> int:
         return (max(self.cols) + 1) if self.cols else 1
@@ -183,7 +178,27 @@ def _barrier_key(text: str) -> Tuple[str, int]:
     return (name, int(gen))
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``[start, start + length)``."""
+    return np.arange(int(lengths.sum())) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths
+    )
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` from each start to the next (the last: to the
+    end); ``starts`` is increasing and may end at ``len(values)``."""
+    sums = np.zeros(starts.size, dtype=np.int64)
+    inside = starts < values.size
+    if inside.any():
+        sums[inside] = np.add.reduceat(values, starts[inside], dtype=np.int64)
+    return sums
+
+
 # -- the single-process replay (scalar and batch) -----------------------------
+
+#: Bytes of short segments a window gathers before it is joined.
+WINDOW_BYTES = 1 << 15
 
 
 class _MonitorReplay:
@@ -193,6 +208,14 @@ class _MonitorReplay:
     the segment's sync's happens-before edges, then the sync-commit
     invalidation — so verdicts and every counter match a live run of
     the same interleaving.
+
+    In batch mode a segment with at least ``BATCH_MIN`` shared accesses
+    goes to ``check_block`` as it ends; shorter ones are deferred into a
+    *window* with a snapshot of their thread's vector clock, and the
+    window is joined in one ``check_window`` call — before the next long
+    segment, at ``WINDOW_BYTES``, before any sync that might roll the
+    clocks over (the reset must follow the window's writes) and at the
+    end of the trace.  The syncs themselves still replay in order.
     """
 
     def __init__(
@@ -206,25 +229,49 @@ class _MonitorReplay:
         self.batch = batch
         self.position = 0
         self._cursor: Dict[int, int] = {tid: 0 for tid in plan.cols}
-        self._next_sync: Dict[int, List[int]] = {
-            tid: sorted(
-                int(p) for p in np.flatnonzero(plan.cols[tid].kinds == 2)
-            )
-            for tid in plan.cols
-        }
+        #: per thread, the index of its open segment (its syncs so far)
+        self._segment: Dict[int, int] = {tid: 0 for tid in plan.cols}
         self.race: Optional[RaceException] = None
         self.race_position: Optional[int] = None
+        # Batch mode: per thread and segment (the run before each sync,
+        # then the tail), its bytes.
+        self._bytes: Dict[int, List[int]] = {}
+        if batch:
+            for tid, cols in plan.cols.items():
+                starts = np.concatenate(([0], cols.sync_pos + 1))
+                self._bytes[tid] = _segment_sums(cols.sizes, starts).tolist()
+        #: pending short segments: (tid, start, end, position, clock)
+        self._window: List[Tuple[int, int, int, int, Any]] = []
+        self._window_bytes = 0
+        #: syncs that surely run before a rollover (recomputed at 0)
+        self._safe_syncs = 0
 
     def run(self) -> None:
         monitor = self.monitor
+        detector = monitor.detector
         monitor.on_thread_start(self.plan.root, None)
         try:
-            for sync in self.plan.syncs:
-                self._flush(sync.tid, sync.pos)
-                self._apply_sync(sync)
-                self._cursor[sync.tid] = sync.pos + 1
+            for order, tid, pos, kind, rest in self.plan.syncs:
+                self._flush(tid, pos)
+                if kind == "Join":
+                    # The child's trailing accesses (after its last sync)
+                    # happened before this join; replay them before
+                    # retiring its tid.
+                    child = int(rest)
+                    self._flush(child, self._segment_end(child))
+                if self._window and self._safe_syncs <= 0:
+                    self._safe_syncs = detector.clock_headroom()
+                    if self._safe_syncs <= 0:
+                        # This sync may reset every epoch: the window's
+                        # writes come first.
+                        self._close_window()
+                self._safe_syncs -= 1
+                self._apply_sync(order, tid, kind, rest)
+                self._cursor[tid] = pos + 1
+                self._segment[tid] += 1
             for tid in sorted(self.plan.cols):
                 self._flush(tid, len(self.plan.cols[tid]))
+            self._close_window()
         except RaceException as exc:
             self.race = exc
 
@@ -240,21 +287,39 @@ class _MonitorReplay:
         base = self.position
         self.position += end - start
         if self.batch:
-            # Columnar hand-off: the decoded trace columns go to the
-            # monitor's batch lane without materializing one tuple.
-            try:
-                self.monitor.check_block(
-                    tid,
-                    (
-                        cols.kinds[start:end] == 1,
-                        cols.addresses[start:end],
-                        cols.sizes[start:end],
-                        cols.private[start:end],
-                    ),
-                )
-            except RaceException:
-                self.race_position = base + self.monitor.block_progress
-                raise
+            monitor = self.monitor
+            batch_min = monitor.detector.BATCH_MIN
+            shared = end - start
+            if shared >= batch_min:
+                shared -= int(np.count_nonzero(cols.private[start:end]))
+            if shared >= batch_min:
+                self._close_window()
+                # Columnar hand-off: the decoded trace columns go to the
+                # monitor's batch lane without materializing one tuple.
+                try:
+                    monitor.check_block(
+                        tid,
+                        (
+                            cols.kinds[start:end] == 1,
+                            cols.addresses[start:end],
+                            cols.sizes[start:end],
+                            cols.private[start:end],
+                        ),
+                    )
+                except RaceException:
+                    self.race_position = base + monitor.block_progress
+                    raise
+            else:
+                try:
+                    clock = monitor.detector.thread_vc(tid).copy()
+                except MetadataError:
+                    # Scalar replay checks every earlier access first.
+                    self._close_window()
+                    raise
+                self._window.append((tid, start, end, base, clock))
+                self._window_bytes += self._bytes[tid][self._segment[tid]]
+                if self._window_bytes >= WINDOW_BYTES:
+                    self._close_window()
         else:
             is_write = (cols.kinds[start:end] == 1).tolist()
             addr = cols.addresses[start:end].tolist()
@@ -270,12 +335,47 @@ class _MonitorReplay:
                     self.race_position = base + i
                     raise
 
+    def _close_window(self) -> None:
+        """Join the pending short segments in one ``check_window``."""
+        if not self._window:
+            return
+        tids, starts, ends, bases, clocks = zip(*self._window)
+        self._window = []
+        self._window_bytes = 0
+        tid_col = np.array(tids)
+        start_col = np.array(starts)
+        lengths = np.array(ends) - start_col
+        offsets = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        is_write = np.empty(total, dtype=bool)
+        addr = np.empty(total, dtype=np.int64)
+        size = np.empty(total, dtype=np.int64)
+        private = np.empty(total, dtype=bool)
+        for tid in set(tids):
+            mine = tid_col == tid
+            src = _ranges(start_col[mine], lengths[mine])
+            dst = _ranges(offsets[mine], lengths[mine])
+            cols = self.plan.cols[tid]
+            is_write[dst] = cols.kinds[src] == 1
+            addr[dst] = cols.addresses[src]
+            size[dst] = cols.sizes[src]
+            private[dst] = cols.private[src]
+        seg = np.arange(len(tids)).repeat(lengths)
+        monitor = self.monitor
+        try:
+            monitor.check_window(
+                tids, clocks, (is_write, addr, size, private, seg)
+            )
+        except RaceException:
+            index = monitor.block_progress
+            s = int(seg[index])
+            self.race_position = bases[s] + index - int(offsets[s])
+            raise
+
     # -- synchronization --------------------------------------------------
 
-    def _apply_sync(self, sync: _SyncPoint) -> None:
+    def _apply_sync(self, order: int, tid: int, kind: str, rest: str) -> None:
         monitor = self.monitor
-        tid = sync.tid
-        kind, _, rest = sync.descriptor.partition(":")
         if kind == "Acquire":
             monitor.on_acquire(tid, rest)
         elif kind == "Release":
@@ -302,27 +402,23 @@ class _MonitorReplay:
             monitor.on_thread_start(child, tid)
             monitor.on_spawn(tid, child)
         elif kind == "Join":
-            child = int(rest)
-            # The child's trailing accesses (after its last sync) happened
-            # before this join; replay them before retiring its tid.
-            self._flush(child, self._segment_end(child))
-            monitor.on_join(tid, child)
+            monitor.on_join(tid, int(rest))
         else:
-            raise ValueError(f"unknown sync descriptor {sync.descriptor!r}")
+            raise ValueError(f"unknown sync kind {kind!r}")
         monitor.on_sync_commit(tid, None)
-        if sync.order in self.plan.trips:
-            key = self.plan.trips[sync.order]
+        key = self.plan.trips.get(order)
+        if key is not None:
             name, gen = _barrier_key(key)
             for arriver in self.plan.episodes[key]:
                 monitor.on_barrier_depart(arriver, name, gen)
 
     def _segment_end(self, tid: int) -> int:
         """End of ``tid``'s current open segment: its next sync, or EOF."""
-        cursor = self._cursor[tid]
-        for pos in self._next_sync[tid]:
-            if pos >= cursor:
-                return pos
-        return len(self.plan.cols[tid])
+        cols = self.plan.cols[tid]
+        segment = self._segment[tid]
+        if segment < cols.sync_pos.size:
+            return int(cols.sync_pos[segment])
+        return len(cols)
 
 
 def _run_single(

@@ -28,6 +28,7 @@ from .core.detector import CleanDetector
 from .core.events import AccessEvent, DetectorBackend
 from .core.epoch import DEFAULT_LAYOUT, EpochLayout
 from .core.rollover import RolloverPolicy
+from .core.vector_clock import VectorClock
 from .determinism.counters import PreciseCounter
 from .determinism.kendo import KendoGate
 from .obs import MetricsRegistry, publish_detector_metrics
@@ -343,6 +344,47 @@ class CleanMonitor(ExecutionMonitor):
         except Exception:
             self.block_progress = int(np.flatnonzero(kept)[index])
             raise
+
+    def check_window(
+        self,
+        tids: Sequence[int],
+        clocks: Sequence[VectorClock],
+        block: Tuple[np.ndarray, ...],
+    ) -> None:
+        """Drive a window of short segments through the backend's
+        :meth:`~repro.core.CleanDetector.check_window`.
+
+        ``block`` is columnar ``(is_write, address, size, private,
+        segment)``; ``segment`` indexes ``tids`` and ``clocks``, each
+        segment's thread and its vector clock when the segment ended.
+        The offline replay's lane for runs of segments too short for
+        :meth:`check_block`: its same-epoch hits are the accesses whose
+        bytes their own segment wrote before, which is exactly what the
+        per-event hooks find when every segment starts with an empty
+        written set, as it does in replay.  Private accesses are
+        skipped, as replay's monitor instruments shared accesses only.
+        Hit and miss counts and, on a race, :attr:`block_progress` (an
+        index into ``block``) are kept as :meth:`check_block` keeps them.
+        """
+        w_col, a_col, s_col, p_col, seg = block
+        kept = ~p_col
+        accesses = (w_col[kept], a_col[kept], s_col[kept], seg[kept])
+        n = int(accesses[1].size)
+        if not n:
+            return
+        detector = self.detector
+        done = n
+        try:
+            detector.check_window(tids, clocks, accesses)
+        except Exception:
+            # The raising access is a checked one (a miss).
+            index = detector.block_progress
+            done = index + 1
+            self.block_progress = int(np.flatnonzero(kept)[index])
+            raise
+        finally:
+            self.fastpath_hits += detector.block_hits
+            self.fastpath_misses += done - detector.block_hits
 
     def _check_one(
         self, tid: int, is_write: bool, address: int, size: int

@@ -25,6 +25,7 @@ update any metadata, and writes are only compared against the last write.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,6 +46,21 @@ __all__ = ["AccessStats", "CleanDetector", "ThreadState"]
 #: A batch block whose bytes span at most this many addresses keys its
 #: scratch table by address offset; a sparser one by distinct-byte rank.
 _DENSE_SPAN = 1 << 18
+
+
+def _expand(
+    addr: np.ndarray, size: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand an access run into its bytes, in access order.
+
+    Returns ``(starts, acc_idx, baddr)``: each access's first byte
+    index, each byte's access index, and each byte's address.
+    """
+    starts = size.cumsum() - size
+    total = int(starts[-1] + size[-1])
+    acc_idx = np.arange(size.size).repeat(size)
+    baddr = (addr - starts).repeat(size) + np.arange(total)
+    return starts, acc_idx, baddr
 
 
 @dataclass
@@ -252,10 +268,7 @@ class CleanDetector(DetectorBackend):
         Raises :class:`RawRaceException` iff the read races with the last
         write to any accessed byte.  Reads never update metadata.
         """
-        self._check_access(tid, address, size, is_read=True)
-        self.stats.reads += 1
-        self.stats.read_bytes += size
-        self._note_width(size)
+        self._checked(self._thread(tid), address, size, is_read=True)
 
     def check_write(self, tid: int, address: int, size: int = 1) -> None:
         """Race-check a ``size``-byte write and update the epochs.
@@ -264,9 +277,21 @@ class CleanDetector(DetectorBackend):
         last write to any accessed byte (including the case where the
         epoch CAS observes a concurrent update, Section 4.3).
         """
-        self._check_access(tid, address, size, is_read=False)
-        self.stats.writes += 1
-        self.stats.written_bytes += size
+        self._checked(self._thread(tid), address, size, is_read=False)
+
+    def _checked(
+        self, thread: ThreadState, address: int, size: int, is_read: bool
+    ) -> None:
+        """One access's Figure-2 check against ``thread``'s vector clock,
+        then its access statistics."""
+        self._check_access(thread, address, size, is_read)
+        stats = self.stats
+        if is_read:
+            stats.reads += 1
+            stats.read_bytes += size
+        else:
+            stats.writes += 1
+            stats.written_bytes += size
         self._note_width(size)
 
     #: The adapter's same-epoch fast path is verdict-invariant for CLEAN:
@@ -300,11 +325,12 @@ class CleanDetector(DetectorBackend):
             stats.written_bytes += size
         self._note_width(size)
 
-    def _check_access(self, tid: int, address: int, size: int, is_read: bool) -> None:
+    def _check_access(
+        self, thread: ThreadState, address: int, size: int, is_read: bool
+    ) -> None:
         if size < 1:
             raise ValueError("access size must be positive")
-        thread = self._thread(tid)
-        new_epoch = thread.vc.element(tid)
+        new_epoch = thread.vc.element(thread.tid)
 
         epochs = self.shadow.load_range(address, size)
         if size > 1:
@@ -429,11 +455,8 @@ class CleanDetector(DetectorBackend):
         if int(size.min()) < 1:
             return DetectorBackend.check_block(self, tid, block, written)
 
-        # Expand accesses into their byte addresses, in access order.
-        seg_starts = size.cumsum() - size
-        total = int(seg_starts[-1] + size[-1])
-        acc_idx = np.arange(n).repeat(size)
-        baddr = (addr - seg_starts).repeat(size) + np.arange(total)
+        seg_starts, acc_idx, baddr = _expand(addr, size)
+        total = int(baddr.size)
         byte_is_write = is_write[acc_idx]
 
         # Key every byte into one scratch table: by its offset in the
@@ -498,45 +521,11 @@ class CleanDetector(DetectorBackend):
 
         n_hits = 0
         if danger > 0:
-            stats = self.stats
             prefix = int(seg_starts[danger]) if danger < n else total
-            psz = size[:danger]
-            n_writes = int(np.count_nonzero(is_write[:danger]))
-            n_written = int(np.count_nonzero(byte_is_write[:prefix]))
-            stats.writes += n_writes
-            stats.reads += danger - n_writes
-            stats.written_bytes += n_written
-            stats.read_bytes += prefix - n_written
-            stats.accesses_ge_4_bytes += int(np.count_nonzero(psz >= 4))
-            multi = psz > 1
-            stats.multibyte_accesses += int(np.count_nonzero(multi))
-            # A hit is accounted as note_same_epoch does: one epoch for
-            # all its bytes, no shadow traffic.
-            uniform = np.logical_and.reduceat(
-                eff == eff[seg_starts][acc_idx], seg_starts
-            )[:danger]
-            updated = byte_is_write[:prefix] & (
-                eff[:prefix] != np.uint32(new_epoch)
+            n_hits = self._account(
+                danger, prefix, is_write, size, seg_starts, acc_idx,
+                byte_is_write, eff, np.uint32(new_epoch), hit,
             )
-            checked_bytes = prefix
-            if prior:
-                uniform |= hit[:danger]
-                updated &= ~hit[acc_idx[:prefix]]
-            if hit is not None:
-                n_hits = int(np.count_nonzero(hit[:danger]))
-                checked_bytes -= int(psz[hit[:danger]].sum())
-            one = multi & uniform
-            n_one = int(np.count_nonzero(one))
-            stats.multibyte_uniform_epoch += n_one
-            stats.epoch_comparisons += n_one + int(psz[~one].sum())
-
-            # Shadow traffic the scalar loop would have generated: one
-            # load per checked byte, one (always-successful — the block
-            # runs unpreempted) CAS per foreign-epoch checked write byte.
-            n_updated = int(np.count_nonzero(updated))
-            stats.epoch_updates += n_updated
-            self.shadow.loads += checked_bytes
-            self.shadow.stores += n_updated
             installed = baddr[:prefix][first[:prefix] == acc_idx[:prefix]]
             self.shadow.scatter(installed, new_epoch)
             if written is not None:
@@ -571,6 +560,245 @@ class CleanDetector(DetectorBackend):
                 raise
             finally:
                 self.block_hits += n_hits
+
+    def check_window(
+        self,
+        tids: Sequence[int],
+        clocks: Sequence[VectorClock],
+        block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        """Batch check of a *window*: consecutive short segments of any
+        threads, in replay order, each against the vector clock its
+        thread held when the segment ended.
+
+        ``block`` is columnar ``(is_write, address, size, segment)``;
+        ``segment`` (non-decreasing) numbers each access's segment and
+        indexes ``tids`` and ``clocks`` — the segment's thread and a
+        snapshot of its vector clock.  Offline replay only: there, a
+        thread's written-this-epoch set is empty at every segment start,
+        so the window needs none.
+
+        Semantics are identical to the scalar hook loop over the
+        segments in order — same verdicts, same exception at the same
+        access, figure-exact ``stats`` and shadow counters; afterwards
+        :attr:`block_hits` counts the same-epoch hits and, on a race,
+        :attr:`block_progress` indexes the raising access.  CLEAN keeps
+        only a last-writer epoch per byte, so the whole window is one
+        join: a stable sort keyed by (byte, window position) finds each
+        byte's last earlier write in the window, whose segment's epoch
+        is the byte's effective epoch (bytes no earlier write covers
+        read the shadow).  An access is a same-epoch hit iff each of its
+        bytes was last written by its own segment.  Every Figure-2
+        comparison then runs in one vectorized pass against the
+        accessing segment's recorded clock.
+
+        The clean prefix before the first flagged segment commits (its
+        counters and its final writers); the flagged segment re-runs
+        through the genuine scalar path, which raises with the exact
+        counters and exception the loop would have, and the rest of the
+        window is re-screened the same way.
+        """
+        is_write, addr, size, seg = block
+        n = int(addr.size)
+        self.block_progress = 0
+        self.block_hits = 0
+        if (
+            n < self.BATCH_MIN
+            or not self.vectorized
+            or not hasattr(self.shadow, "gather")
+            or int(size.min()) < 1
+        ):
+            return self._replay_segments(tids, clocks, block)
+
+        starts, acc_idx, baddr = _expand(addr, size)
+        total = int(baddr.size)
+        byte_is_write = is_write[acc_idx]
+        byte_seg = seg[acc_idx]
+        width = self.max_threads
+        rows = np.full((len(clocks), width + 1), -1, dtype=np.int64)
+        rows[:, :width] = np.fromiter(
+            chain.from_iterable(clocks),
+            dtype=np.int64,
+            count=len(clocks) * width,
+        ).reshape(-1, width)
+        epochs = rows[np.arange(len(tids)), tids].astype(np.uint32)
+
+        # The join.  In (address, window position) order, the last write
+        # before each byte is a running max of write positions; it is
+        # an earlier write to the same byte iff it lies at or after the
+        # start of the byte's address group.
+        order = np.argsort(baddr, kind="stable")
+        s_addr = baddr[order]
+        s_seg = byte_seg[order]
+        s_write = byte_is_write[order]
+        pos = np.arange(total)
+        prev = np.empty(total, dtype=np.int64)
+        prev[0] = -1
+        prev[1:] = np.maximum.accumulate(np.where(s_write, pos, -1))[:-1]
+        group = np.empty(total, dtype=bool)
+        group[0] = True
+        np.not_equal(s_addr[1:], s_addr[:-1], out=group[1:])
+        joined = prev >= np.maximum.accumulate(np.where(group, pos, 0))
+        writer = s_seg[prev]  # meaningful where ``joined`` only
+        s_eff = np.where(joined, epochs[writer], self.shadow.gather(s_addr))
+        eff = np.empty_like(s_eff)
+        eff[order] = s_eff
+        own = np.empty(total, dtype=bool)
+        own[order] = joined & (writer == s_seg)
+        hit = np.logical_and.reduceat(own, starts)
+
+        # The Figure-2 predicate as in :meth:`check_block`, each byte
+        # against its own segment's recorded clock (the extra -1 column
+        # takes foreign tids).  A hit's bytes carry its segment's epoch,
+        # so a hit never fires.
+        writer_tid = np.minimum(eff >> np.uint32(self.layout.clock_bits), width)
+        racy = np.logical_or.reduceat(
+            eff > rows[byte_seg, writer_tid], starts
+        ).nonzero()[0]
+        if racy.size:
+            limit = int(seg[racy[0]])
+            done = int(np.searchsorted(seg, limit))
+        else:
+            limit = int(seg[-1]) + 1
+            done = n
+
+        hits = 0
+        if done > 0:
+            prefix = int(starts[done]) if done < n else total
+            hits = self._account(
+                done, prefix, is_write, size, starts, acc_idx,
+                byte_is_write, eff, epochs[byte_seg], hit,
+            )
+            # Each byte's last write in the prefix leaves its segment's
+            # epoch behind.
+            final = s_write & (s_seg < limit)
+            w_addr = s_addr[final]
+            if w_addr.size:
+                last = np.empty(w_addr.size, dtype=bool)
+                last[-1] = True
+                np.not_equal(w_addr[1:], w_addr[:-1], out=last[:-1])
+                self.shadow.scatter(w_addr[last], epochs[s_seg[final][last]])
+        self.block_hits = hits
+        if done == n:
+            return
+
+        # The flagged segment through the genuine scalar path; only a
+        # conservative flag (foreign tid) gets past it.
+        end = int(np.searchsorted(seg, limit, side="right"))
+        for lo, hi, check in (
+            (done, end, self._replay_segments),
+            (end, n, self.check_window),
+        ):
+            if lo == hi:
+                continue
+            try:
+                check(tids, clocks, tuple(col[lo:hi] for col in block))
+            except Exception:
+                self.block_progress += lo
+                raise
+            finally:
+                hits += self.block_hits
+                self.block_hits = hits
+
+    def _replay_segments(
+        self,
+        tids: Sequence[int],
+        clocks: Sequence[VectorClock],
+        block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        """The scalar hook loop over a window's segments: a same-epoch
+        hit iff the segment itself wrote every byte before, every other
+        access through the Figure-2 path against the recorded clock."""
+        is_write, addr, size, seg = (col.tolist() for col in block)
+        hits = index = 0
+        current = -1
+        written: Set[int] = set()
+        try:
+            for index, s in enumerate(seg):
+                if s != current:
+                    current = s
+                    thread = ThreadState(tids[s], clocks[s])
+                    written = set()
+                address, n = addr[index], size[index]
+                if (
+                    address in written
+                    if n == 1
+                    else all(address + o in written for o in range(n))
+                ):
+                    hits += 1
+                    self.note_same_epoch(
+                        thread.tid, address, n, is_read=not is_write[index]
+                    )
+                else:
+                    self._checked(thread, address, n, not is_write[index])
+                    if is_write[index]:
+                        written.update(range(address, address + n))
+        finally:
+            self.block_progress = index
+            self.block_hits = hits
+
+    def _account(
+        self,
+        done: int,
+        prefix: int,
+        is_write: np.ndarray,
+        size: np.ndarray,
+        starts: np.ndarray,
+        acc_idx: np.ndarray,
+        byte_is_write: np.ndarray,
+        eff: np.ndarray,
+        own: object,
+        hit: Optional[np.ndarray],
+    ) -> int:
+        """Add the counter trail the scalar loop leaves for the first
+        ``done`` accesses (``prefix`` bytes) of an expanded run.
+
+        ``eff`` is each byte's epoch when its access ran, ``own`` the
+        epoch its access installs (one value, or one per byte) and
+        ``hit`` marks the same-epoch hits.  Returns how many of the
+        ``done`` accesses are hits.
+        """
+        stats = self.stats
+        psz = size[:done]
+        n_writes = int(np.count_nonzero(is_write[:done]))
+        n_written = int(np.count_nonzero(byte_is_write[:prefix]))
+        stats.writes += n_writes
+        stats.reads += done - n_writes
+        stats.written_bytes += n_written
+        stats.read_bytes += prefix - n_written
+        stats.accesses_ge_4_bytes += int(np.count_nonzero(psz >= 4))
+        multi = psz > 1
+        stats.multibyte_accesses += int(np.count_nonzero(multi))
+        eff = eff[:prefix]
+        uniform = np.logical_and.reduceat(
+            eff == eff[starts[:done]][acc_idx[:prefix]], starts[:done]
+        )
+        if isinstance(own, np.ndarray):
+            own = own[:prefix]
+        updated = byte_is_write[:prefix] & (eff != own)
+        checked_bytes = prefix
+        n_hits = 0
+        if hit is not None:
+            # A hit is accounted as note_same_epoch does: one epoch for
+            # all its bytes, no shadow traffic.
+            hit = hit[:done]
+            uniform |= hit
+            updated &= ~hit[acc_idx[:prefix]]
+            n_hits = int(np.count_nonzero(hit))
+            checked_bytes -= int(psz[hit].sum())
+        one = multi & uniform
+        n_one = int(np.count_nonzero(one))
+        stats.multibyte_uniform_epoch += n_one
+        stats.epoch_comparisons += n_one + int(psz[~one].sum())
+
+        # Shadow traffic the scalar loop would have generated: one load
+        # per checked byte, one (always-successful — the run is
+        # unpreempted) CAS per foreign-epoch checked write byte.
+        n_updated = int(np.count_nonzero(updated))
+        stats.epoch_updates += n_updated
+        self.shadow.loads += checked_bytes
+        self.shadow.stores += n_updated
+        return n_hits
 
     # -- recovery hooks -------------------------------------------------------
     #
@@ -632,6 +860,21 @@ class CleanDetector(DetectorBackend):
                     "auto_rollover is disabled; call reset_metadata()"
                 )
         thread.vc.increment(thread.tid)
+
+    def clock_headroom(self) -> int:
+        """How many forks, joins and releases surely run before a rollover.
+
+        Each of them raises the largest clock held in any vector clock
+        (thread or sync object) by at most one, and a rollover needs an
+        advance of a clock already at ``clock_max``.  Acquires never
+        advance a clock.
+        """
+        layout = self.layout
+        held = chain(
+            (t.vc for t in self._threads.values()), self._lock_vcs.values()
+        )
+        top = max((layout.clock(e) for vc in held for e in vc), default=0)
+        return layout.clock_max - top
 
     def rollover_imminent(self, slack: int = 1) -> bool:
         """Whether any live thread is within ``slack`` ticks of rollover."""

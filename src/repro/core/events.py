@@ -120,6 +120,8 @@ def stable_sync_id(sync_key: object) -> Hashable:
     standalone detector users pass — are already stable and pass
     through unchanged.
     """
+    if type(sync_key) is str:
+        return sync_key
     name = getattr(sync_key, "name", None)
     if isinstance(name, str):
         return name

@@ -259,8 +259,9 @@ class FlatShadow:
             count=addresses.size,
         )
 
-    def scatter(self, addresses: "np.ndarray", epoch: int) -> None:
-        """Set the epochs at ``addresses`` to ``epoch``, uncounted."""
+    def scatter(self, addresses: "np.ndarray", epoch: object) -> None:
+        """Set the epochs at ``addresses`` to ``epoch`` — one value, or
+        an array of one per address — uncounted."""
         if addresses.size == 0:
             return
         hi = int(addresses.max())
@@ -268,13 +269,14 @@ class FlatShadow:
             self._ensure(hi + 1)
             self._epochs[addresses] = epoch
             return
-        for a in addresses:
-            address = int(a)
+        epochs = np.broadcast_to(np.asarray(epoch, dtype=np.uint32),
+                                 addresses.shape)
+        for address, value in zip(addresses.tolist(), epochs.tolist()):
             if self._in_window(address):
                 self._ensure(address + 1)
-                self._epochs[address] = epoch
+                self._epochs[address] = value
             else:
-                self._spill[address] = epoch
+                self._spill[address] = value
 
     # -- introspection ------------------------------------------------------
 

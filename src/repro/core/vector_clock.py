@@ -69,24 +69,31 @@ class VectorClock:
         layout — callers (the rollover controller) must reset metadata
         *before* this happens (Section 4.5).
         """
-        new_clock = self.clock_of(tid) + 1
-        if new_clock > self.layout.clock_max:
+        elem = self._elems[tid]
+        clock_max = self.layout.clock_max
+        if elem & clock_max == clock_max:
             raise OverflowError(
                 f"clock of thread {tid} exceeded {self.layout.clock_bits} bits"
             )
-        self._elems[tid] = self.layout.pack(tid, new_clock)
-        return new_clock
+        # The clock is the element's low field: a plain add carries it.
+        self._elems[tid] = elem + 1
+        return (elem & clock_max) + 1
 
     def join(self, other: "VectorClock") -> None:
-        """Element-wise maximum (by clock component) with ``other``."""
+        """Element-wise maximum (by clock component) with ``other``.
+
+        Element ``i`` of every vector clock packs tid ``i``, so two
+        elements at one index differ only in their clock bits and the
+        larger word is the larger clock: the join is a plain word max.
+        """
         if other.layout is not self.layout and other.layout != self.layout:
             raise ValueError("cannot join vector clocks with different layouts")
-        if len(other) != len(self):
+        if len(other._elems) != len(self._elems):
             raise ValueError("cannot join vector clocks of different sizes")
-        layout = self.layout
-        for i, their in enumerate(other._elems):
-            if layout.clock(their) > layout.clock(self._elems[i]):
-                self._elems[i] = their
+        self._elems = [
+            mine if mine >= theirs else theirs
+            for mine, theirs in zip(self._elems, other._elems)
+        ]
 
     def reset(self) -> None:
         """Zero every clock (used by the deterministic rollover reset)."""

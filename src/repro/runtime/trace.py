@@ -59,6 +59,7 @@ __all__ = [
     "WRITE",
     "SYNC",
     "TRACE_MAGIC",
+    "MAX_ACCESS_BYTES",
 ]
 
 READ = "R"
@@ -100,6 +101,11 @@ DEFAULT_CHUNK_EVENTS = 4096
 #: what one chunk header can make a reader inflate.
 _MAX_CHUNK_EVENTS = 1 << 20
 _MAX_NAME_TABLE = 1 << 20
+#: Widest access a trace may record: one 64-byte cache line, the widest
+#: single load or store a CPU performs (AVX-512) and 8x the widest access
+#: of any bundled workload.  Replay expands every access byte by byte,
+#: so an unchecked ``size`` would let one record claim gigabytes.
+MAX_ACCESS_BYTES = 64
 
 #: Numpy view of the packed record stream: one field per :data:`_RECORD`
 #: column, no padding (``itemsize == _RECORD.size``), so a whole chunk
@@ -221,6 +227,13 @@ class TraceChunk:
 # -- binary chunk encode/decode ---------------------------------------------
 
 
+def _check_access_size(size: int) -> None:
+    if not 1 <= size <= MAX_ACCESS_BYTES:
+        raise ValueError(
+            f"access size {size} outside 1..{MAX_ACCESS_BYTES} bytes"
+        )
+
+
 def _corrupt(path: object, index: int, offset: int, detail: str) -> ValueError:
     """The uniform error for any damaged binary trace data."""
     return ValueError(
@@ -255,6 +268,8 @@ def _encode_chunk(
                 names.append(e.sync_name)
         else:
             idx = _NO_NAME
+        if e.kind != SYNC:
+            _check_access_size(e.size)
         code = _KIND_CODE[e.kind] | (_PRIVATE_BIT if e.private else 0)
         records += _RECORD.pack(code, e.address, e.size, e.gap, idx)
     table = bytearray(_NAME_LEN.pack(len(names)))
@@ -287,6 +302,8 @@ def _decode_payload(payload: bytes, n_events: int) -> List[TraceEvent]:
         offset += length
     events: List[TraceEvent] = []
     for code, address, size, gap, idx in _RECORD.iter_unpack(payload[offset:]):
+        if code & ~_PRIVATE_BIT != _KIND_CODE[SYNC]:
+            _check_access_size(size)
         events.append(
             TraceEvent(
                 kind=_CODE_KIND[code & ~_PRIVATE_BIT],
@@ -443,6 +460,10 @@ def _payload_to_chunk(tid: int, payload: bytes, n_events: int) -> TraceChunk:
     kinds = codes & ~np.uint8(_PRIVATE_BIT)
     if n_events and int(kinds.max()) > max(_CODE_KIND):
         raise ValueError(f"unknown event kind code {int(kinds.max())}")
+    sizes = arr["size"][kinds != _KIND_CODE[SYNC]]
+    if sizes.size:
+        _check_access_size(int(sizes.min()))
+        _check_access_size(int(sizes.max()))
     name_idx = arr["name"].copy()
     named = name_idx[name_idx != _NO_NAME]
     if named.size and int(named.max()) >= len(names):
@@ -681,6 +702,10 @@ class Trace:
                         "events"
                     ]
                 ]
+        for events in per_thread.values():
+            for e in events:
+                if e.kind != SYNC:
+                    _check_access_size(e.size)
         return cls(per_thread=per_thread)
 
 

@@ -362,6 +362,7 @@ RACE_KEYS = (
     "accessing_tid",
     "prior_writer_tid",
     "prior_writer_clock",
+    "position",
 )
 
 

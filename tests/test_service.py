@@ -12,8 +12,10 @@ concurrent clients.
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.service import (
     ServeDaemon,
     UnknownSubmission,
 )
+from repro.runtime.trace import TRACE_MAGIC
 from repro.workloads.suite import get_benchmark
 
 
@@ -599,6 +602,25 @@ class TestServeDaemon:
             status, payload, _ = _request(
                 daemon.port, "POST", "/submit", body=_corrupt(racy_bytes)
             )
+            assert status == 400
+            assert payload["error"] == "corrupt_trace"
+
+    def test_oversized_access_upload_400(self, tmp_path):
+        """One CRC-valid 49-byte record claiming a 100 MB write is turned
+        away at admission, before any worker expands it."""
+        payload = struct.pack("<H", 0) + struct.pack(
+            "<BQIIH", 1, 0x1000, 100 << 20, 0, 0xFFFF
+        )
+        stored = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        body = TRACE_MAGIC + bytes([1]) + struct.pack(
+            "<HBIII", 0, 0x02, 1, len(payload), len(stored)
+        ) + stored
+        with ServeDaemon(_service(tmp_path)) as daemon:
+            start = time.monotonic()
+            status, payload, _ = _request(
+                daemon.port, "POST", "/submit", body=body
+            )
+            assert time.monotonic() - start < 1.0
             assert status == 400
             assert payload["error"] == "corrupt_trace"
 

@@ -1,7 +1,7 @@
 """Unit and property tests for epoch-valued vector clocks."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.epoch import DEFAULT_LAYOUT, EpochLayout
@@ -126,6 +126,56 @@ class TestJoin:
         joined.join(b)
         assert a.happens_before(joined)
         assert b.happens_before(joined)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_word_max_equals_per_clock_join(self, data):
+        """After any increment/set_clock/join/reset sequence on small
+        layouts, the word-max join leaves exactly the elements the
+        per-clock definition (take ``theirs`` iff its clock is larger)
+        would."""
+        layout = EpochLayout(
+            clock_bits=data.draw(st.integers(2, 4)),
+            tid_bits=data.draw(st.integers(2, 3)),
+        )
+        size = data.draw(st.integers(1, layout.max_tid + 1))
+        clocks = [VectorClock(size, layout) for _ in range(3)]
+        model = [list(vc) for vc in clocks]
+        tids = st.integers(0, size - 1)
+        which = st.integers(0, 2)
+        ops = st.one_of(
+            st.tuples(st.just("increment"), which, tids),
+            st.tuples(
+                st.just("set_clock"), which, tids,
+                st.integers(0, layout.clock_max),
+            ),
+            st.tuples(st.just("join"), which, which),
+            st.tuples(st.just("reset"), which),
+        )
+        for op in data.draw(st.lists(ops, max_size=30)):
+            kind, v = op[0], op[1]
+            if kind == "increment":
+                tid = op[2]
+                if layout.clock(model[v][tid]) == layout.clock_max:
+                    with pytest.raises(OverflowError):
+                        clocks[v].increment(tid)
+                    continue
+                clocks[v].increment(tid)
+                model[v][tid] += 1
+            elif kind == "set_clock":
+                clocks[v].set_clock(op[2], op[3])
+                model[v][op[2]] = layout.pack(op[2], op[3])
+            elif kind == "join":
+                clocks[v].join(clocks[op[2]])
+                model[v] = [
+                    theirs if layout.clock(theirs) > layout.clock(mine)
+                    else mine
+                    for mine, theirs in zip(model[v], model[op[2]])
+                ]
+            else:
+                clocks[v].reset()
+                model[v] = [layout.pack(i, 0) for i in range(size)]
+            assert [list(vc) for vc in clocks] == model
 
 
 class TestHappensBefore:

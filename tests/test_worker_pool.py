@@ -11,8 +11,15 @@ import zlib
 
 import pytest
 
+from repro.analysis import analyze_trace
 from repro.exec import Job, JobRunner, PersistentPool
-from repro.runtime.trace import TRACE_MAGIC, verify_trace_bytes
+from repro.runtime.trace import (
+    MAX_ACCESS_BYTES,
+    TRACE_MAGIC,
+    Trace,
+    TraceEvent,
+    verify_trace_bytes,
+)
 
 needs_processes = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -122,3 +129,49 @@ class TestTraceAdmissionBounds:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    @staticmethod
+    def wide_write(size: int) -> bytes:
+        """A CRC-valid, uncompressed one-chunk trace holding a single
+        ``size``-byte write: 49 bytes whatever ``size`` claims."""
+        payload = struct.pack("<H", 0) + struct.pack(
+            "<BQIIH", 1, 0x1000, size, 0, 0xFFFF
+        )
+        stored = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        header = struct.pack("<HBIII", 0, 0x02, 1, len(payload), len(stored))
+        return TRACE_MAGIC + bytes([1]) + header + stored
+
+    @pytest.mark.parametrize(
+        "size", [0, MAX_ACCESS_BYTES + 1, 100 << 20, (1 << 32) - 1]
+    )
+    def test_access_size_outside_the_cap_fails_in_bounded_memory(
+        self, tmp_path, size
+    ):
+        data = self.wide_write(size)
+        assert len(data) == 49
+        with pytest.raises(ValueError, match="corrupt trace.*access size"):
+            verify_trace_bytes(data)
+        path = tmp_path / "wide.trace"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            for mode in ("scalar", "batch"):
+                with pytest.raises(ValueError, match="access size"):
+                    analyze_trace(str(path), mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_the_widest_access_is_admitted(self, tmp_path):
+        data = self.wide_write(MAX_ACCESS_BYTES)
+        assert verify_trace_bytes(data) == 1
+        path = tmp_path / "wide.trace"
+        path.write_bytes(data)
+        assert analyze_trace(str(path)).accesses == 1
+
+    def test_writer_refuses_accesses_outside_the_cap(self, tmp_path):
+        for size in (0, MAX_ACCESS_BYTES + 1):
+            trace = Trace(per_thread={0: [TraceEvent("W", 0x1000, size)]})
+            with pytest.raises(ValueError, match="access size"):
+                trace.save(tmp_path / "wide.trace")
