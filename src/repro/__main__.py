@@ -35,14 +35,14 @@ profile NAME [--scale S] [--seed K] [--format text|json|prom] [--sites]
 trace NAME OUT.trace [--scale S] [--seed K] [--racy]
     Record a benchmark's access trace to a binary trace file
     (record-only, so racy variants capture the race for offline
-    analysis).  An ``OUT.jsonl`` path selects the legacy JSON-lines
-    format instead.
+    analysis).  Every path gets the binary format; JSON-lines traces
+    from older versions are no longer read, so re-record them.
 analyze TRACE [--mode scalar|batch] [--salvage] [--hot-sites K] [--json]
     Race-analyze a recorded trace offline: the vectorized check_block
     batch path by default, or the scalar reference loop; both modes
     report identical verdicts, racing pairs and clean.* counters.
     ``--hot-sites K`` ranks the K most-accessed shared addresses.
-    Exits 1 when a race is found.
+    Exits 1 when a race is found, 2 when the trace cannot be read.
 serve [--host H] [--port P] [--workers N] [--queue-size N] [--quota T]
       [--mode batch|scalar] [--spool DIR] [--for SECONDS]
       [--sample-interval S] [--retention N] [--slo CONFIG]
@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 #: Schema major stamped into every ``--format json`` profile payload.
 PROFILE_FORMAT_VERSION = 1
@@ -113,6 +114,12 @@ def _close_telemetry(exporter, registry) -> None:
     if exporter is not None:
         exporter.export_metrics(registry)
         exporter.close()
+
+
+def _input_error(exc: Exception) -> int:
+    """Report an unreadable input on one stderr line; exit code 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -460,12 +467,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_trace
 
-    report = analyze_trace(
-        args.trace,
-        mode=args.mode,
-        salvage=args.salvage,
-        hot_sites=args.hot_sites,
-    )
+    try:
+        report = analyze_trace(
+            args.trace,
+            mode=args.mode,
+            salvage=args.salvage,
+            hot_sites=args.hot_sites,
+        )
+    except (ValueError, OSError) as exc:
+        return _input_error(exc)
     if args.json:
         print(json.dumps(report.to_payload(), sort_keys=True))
         return 1 if report.racy else 0
@@ -654,20 +664,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .runtime.trace import open_trace
 
     registry, tracer, exporter = _telemetry_session(args)
-    with tracer.span("simulate.load", trace=args.trace):
-        # Binary traces stream chunk-by-chunk through the simulator;
-        # legacy JSONL traces fall back to an in-memory load.
-        trace = open_trace(args.trace)
-    with tracer.span("simulate.baseline"):
-        base = simulate_trace(trace, SimConfig(detection=False))
-    with tracer.span("simulate.detection", unit=args.unit, mode=args.mode):
-        det = simulate_trace(
-            trace,
-            SimConfig(
-                detection=True, metadata_mode=args.mode, check_unit=args.unit
-            ),
-            registry=registry,
-        )
+    try:
+        with tracer.span("simulate.load", trace=args.trace):
+            # The trace streams chunk by chunk through the simulator.
+            trace = open_trace(args.trace)
+        if not trace.total_events:
+            raise ValueError(f"{args.trace}: trace holds no events")
+        with tracer.span("simulate.baseline"):
+            base = simulate_trace(trace, SimConfig(detection=False))
+        with tracer.span("simulate.detection", unit=args.unit, mode=args.mode):
+            det = simulate_trace(
+                trace,
+                SimConfig(
+                    detection=True, metadata_mode=args.mode,
+                    check_unit=args.unit,
+                ),
+                registry=registry,
+            )
+    except (ValueError, OSError) as exc:
+        _close_telemetry(exporter, registry)
+        return _input_error(exc)
     registry.set_gauge("sim.baseline_cycles", base.cycles)
     registry.set_gauge("sim.slowdown", det.cycles / base.cycles)
     _close_telemetry(exporter, registry)

@@ -251,99 +251,49 @@ class CleanMonitor(ExecutionMonitor):
     #: in the block as given (private accesses included).
     block_progress = 0
 
-    def on_access_block(self, tid: int, events: Sequence[AccessEvent]) -> None:
-        """Scheduler batch-lane hook: one thread's in-order access run."""
-        self.check_block(
-            tid,
-            [(e.is_write, e.address, e.size, e.private) for e in events],
-        )
-
     def check_block(
-        self, tid: int, block: Sequence[Tuple[bool, int, int, bool]]
+        self, tid: int, block: Tuple[np.ndarray, ...]
     ) -> None:
-        """Drive a whole in-order access block through the adapter.
+        """Drive one thread's in-order access block through the backend.
 
-        ``block`` items are ``(is_write, address, size, private)`` —
-        one synchronization-free run of a single thread's accesses, as
-        streaming replay and the batch scheduler lane produce them.
-        Semantics are identical to the per-event hooks: same verdicts,
-        same fast-path hit/miss counts, same ``note_same_epoch`` /
-        SiteProfiler / shadow accounting, and on a race the same
-        exception with the same counter trail; :attr:`block_progress`
-        then names the raising access.
-
-        After the private-access filter the block goes to the backend's
+        ``block`` is columnar ``(is_write, address, size, private)``:
+        equal-length numpy arrays holding one synchronization-free run,
+        as the offline replay slices it from its decoded trace columns.
+        Private accesses are skipped, as replay instruments shared
+        accesses only; the rest go to the backend's
         :meth:`~repro.core.events.DetectorBackend.check_block` in one
         call, with the thread's written-this-epoch set when the fast
-        path is on: the backend classifies the same-epoch hits itself
-        (CLEAN in the same vectorized pass as its checks) and leaves the
-        set as the per-event hooks would.  A monitor with a SiteProfiler
-        attached replays the exact scalar hook bodies instead, because
-        the profiler's sampling tick is order-sensitive.
-
-        ``block`` may also arrive columnar — a 4-tuple of equal-length
-        numpy arrays ``(is_write, address, size, private)`` — which the
-        offline analysis engine hands over straight from its decoded
-        trace columns, skipping every per-event tuple.
+        path is on, so the backend classifies the same-epoch hits
+        itself and leaves the set as the per-event hooks would.
+        Verdicts, hit/miss counts and the detector's counters match the
+        per-event hooks; a SiteProfiler is not fed.  On a race
+        :attr:`block_progress` names the raising access.
         """
-        columnar = (
-            type(block) is tuple
-            and len(block) == 4
-            and isinstance(block[0], np.ndarray)
-        )
-        if columnar and not self.instrument_private_fraction:
-            w_col, a_col, s_col, p_col = block
-            kept = ~np.asarray(p_col, dtype=bool)
-            accesses = (
-                np.asarray(w_col, dtype=bool)[kept],
-                np.asarray(a_col, dtype=np.int64)[kept],
-                np.asarray(s_col, dtype=np.int64)[kept],
-            )
-            n = int(accesses[1].size)
-        else:
-            if columnar:
-                block = list(zip(*(col.tolist() for col in block)))
-            kept = [self._instrument(p, a) for (_w, a, _s, p) in block]
-            accesses = [
-                (w, a, s) for (w, a, s, _p), k in zip(block, kept) if k
-            ]
-            n = len(accesses)
+        w_col, a_col, s_col, p_col = block
+        kept = ~p_col
+        accesses = (w_col[kept], a_col[kept], s_col[kept])
+        n = int(accesses[1].size)
         if not n:
             return
         detector = self.detector
-        index = 0
+        written = None
+        if self._fastpath:
+            written = self._epoch_writes.get(tid)
+            if written is None:
+                written = self._epoch_writes[tid] = set()
+        done = n
         try:
-            if self.sites is not None or n < detector.BATCH_MIN:
-                # The profiler's sampling tick is order-sensitive, and a
-                # short block costs less as a loop than as a call.
-                if type(accesses) is tuple:
-                    w_col, a_col, s_col = accesses
-                    accesses = zip(
-                        w_col.tolist(), a_col.tolist(), s_col.tolist()
-                    )
-                for index, (is_write, address, size) in enumerate(accesses):
-                    self._check_one(tid, is_write, address, size)
-            else:
-                written = None
-                if self._fastpath:
-                    written = self._epoch_writes.get(tid)
-                    if written is None:
-                        written = self._epoch_writes[tid] = set()
-                done = n
-                try:
-                    detector.check_block(tid, accesses, written=written)
-                except Exception:
-                    # The raising access is a checked one (a miss).
-                    index = detector.block_progress
-                    done = index + 1
-                    raise
-                finally:
-                    if written is not None:
-                        self.fastpath_hits += detector.block_hits
-                        self.fastpath_misses += done - detector.block_hits
+            detector.check_block(tid, accesses, written=written)
         except Exception:
+            # The raising access is a checked one (a miss).
+            index = detector.block_progress
+            done = index + 1
             self.block_progress = int(np.flatnonzero(kept)[index])
             raise
+        finally:
+            if written is not None:
+                self.fastpath_hits += detector.block_hits
+                self.fastpath_misses += done - detector.block_hits
 
     def check_window(
         self,

@@ -398,12 +398,13 @@ class CleanDetector(DetectorBackend):
     def check_block(
         self,
         tid: int,
-        block: Sequence[Tuple[bool, int, int]],
+        block: Tuple[np.ndarray, np.ndarray, np.ndarray],
         written: Optional[Set[int]] = None,
     ) -> None:
         """Vectorized batch check of one thread's in-order access block.
 
-        Semantics are *identical* to the scalar loop of
+        ``block`` is columnar ``(is_write, address, size)``.  Semantics
+        are *identical* to the scalar loop of
         :meth:`DetectorBackend.check_block` — same verdicts, same
         exception at the same access, figure-exact ``stats`` and shadow
         counters and, given the adapter's ``written`` set, the same
@@ -427,12 +428,7 @@ class CleanDetector(DetectorBackend):
         raises with the exact counters and exception the loop would
         have produced; the remaining suffix is re-screened the same way.
         """
-        columnar = (
-            type(block) is tuple
-            and len(block) == 3
-            and isinstance(block[1], np.ndarray)
-        )
-        n = int(block[1].size) if columnar else len(block)
+        n = int(block[1].size)
         self.block_progress = 0
         if (
             n < self.BATCH_MIN
@@ -444,14 +440,9 @@ class CleanDetector(DetectorBackend):
         thread = self._thread(tid)
         new_epoch = thread.vc.element(tid)
 
-        if columnar:
-            is_write = np.asarray(block[0], dtype=bool)
-            addr = np.asarray(block[1], dtype=np.int64)
-            size = np.asarray(block[2], dtype=np.int64)
-        else:
-            is_write = np.fromiter((a[0] for a in block), dtype=bool, count=n)
-            addr = np.fromiter((a[1] for a in block), dtype=np.int64, count=n)
-            size = np.fromiter((a[2] for a in block), dtype=np.int64, count=n)
+        is_write = np.asarray(block[0], dtype=bool)
+        addr = np.asarray(block[1], dtype=np.int64)
+        size = np.asarray(block[2], dtype=np.int64)
         if int(size.min()) < 1:
             return DetectorBackend.check_block(self, tid, block, written)
 

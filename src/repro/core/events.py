@@ -6,11 +6,9 @@ vocabulary:
 
 * :class:`AccessEvent` — one compact, slotted record per memory
   operation, built **once** by the scheduler and handed to every
-  event-aware monitor (instead of each monitor re-deriving tid /
-  address / size / privacy from positional hook arguments).  It also
-  carries the per-thread SFR ordinal and the thread's deterministic
-  clock, so region trackers and tracers no longer maintain parallel
-  bookkeeping.
+  monitor that observes memory.  It also carries the per-thread SFR
+  ordinal and the thread's deterministic clock, so region trackers and
+  tracers no longer maintain parallel bookkeeping.
 * :class:`DetectorBackend` — the protocol every race-detection engine
   implements (CLEAN and all three baselines), so the runtime needs
   exactly one adapter (:class:`~repro.clean.CleanMonitor`) regardless
@@ -26,7 +24,7 @@ vocabulary:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from .epoch import DEFAULT_LAYOUT, EpochLayout
 from .exceptions import MetadataError, TooManyThreadsError
@@ -36,28 +34,8 @@ __all__ = [
     "AccessEvent",
     "DetectorBackend",
     "VectorClockBackend",
-    "block_items",
     "stable_sync_id",
 ]
-
-
-def block_items(block: object) -> Sequence[Tuple[bool, int, int]]:
-    """Normalize an access block to per-item ``(is_write, address, size)``.
-
-    Blocks travel in two shapes: a sequence of per-access tuples, or
-    *columnar* — a 3-tuple of equal-length numpy arrays, the zero-copy
-    form the batch lane hands between monitor and backend.  Scalar code
-    paths call this at their boundary; tuple sequences pass through
-    untouched.
-    """
-    if (
-        type(block) is tuple
-        and len(block) == 3
-        and hasattr(block[0], "tolist")
-    ):
-        is_write, address, size = block
-        return list(zip(is_write.tolist(), address.tolist(), size.tolist()))
-    return block
 
 
 class AccessEvent:
@@ -212,19 +190,19 @@ class DetectorBackend:
     def check_block(
         self,
         tid: int,
-        block: Sequence[Tuple[bool, int, int]],
+        block: Tuple[Any, Any, Any],
         written: Optional[Set[int]] = None,
     ) -> None:
         """Race-check a batch of same-thread accesses in program order.
 
-        ``block`` is a sequence of ``(is_write, address, size)`` tuples
-        or the columnar array form (see :func:`block_items`) — typically
-        one synchronization-free region's worth of accesses.  The
-        default simply loops over :meth:`check_read` /
-        :meth:`check_write`, so every backend is batch-correct for free;
-        engines with a vectorized batch path override this.  Semantics
-        are identical to the scalar loop: checks happen in order and the
-        first race raises out of the block.
+        ``block`` is columnar: ``(is_write, address, size)``, three
+        equal-length numpy arrays — typically one synchronization-free
+        region's worth of accesses.  The default simply loops over
+        :meth:`check_read` / :meth:`check_write`, so every backend is
+        batch-correct for free; engines with a vectorized batch path
+        override this.  Semantics are identical to the scalar loop:
+        checks happen in order and the first race raises out of the
+        block.
 
         ``written`` — only passed to backends that declare
         ``same_epoch_filter`` — is the adapter's set of bytes ``tid``
@@ -238,10 +216,9 @@ class DetectorBackend:
         check_write = self.check_write
         note = self.note_same_epoch
         index = hits = 0
+        items = zip(*(column.tolist() for column in block))
         try:
-            for index, (is_write, address, size) in enumerate(
-                block_items(block)
-            ):
+            for index, (is_write, address, size) in enumerate(items):
                 if written is not None and (
                     address in written
                     if size == 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
+from .core.events import AccessEvent
 from .core.exceptions import RaceException
 from .runtime.recovery import RecoveryReport
 from .runtime.scheduler import ExecutionMonitor
@@ -201,26 +202,25 @@ class RaceContextMonitor(ExecutionMonitor):
 
     # -- access tracking (runs before CleanMonitor's checks) --------------------
 
-    def before_write(self, tid, address, size, value, private) -> None:
-        if private:
+    def before_access(self, event: AccessEvent) -> None:
+        if not event.is_write or event.private:
             return
-        site = self._site(tid, address, size, True)
-        self._current = site
-        # Record as last writer byte by byte *after* noting current, so a
-        # raised exception still sees the previous writer.
-        self._pending_write = site
+        # The write is current before CLEAN checks it; it becomes the
+        # bytes' last writer only after the store, so a raised
+        # exception still sees the previous writer.
+        self._current = self._site(event.tid, event.address, event.size, True)
 
-    def after_write(self, tid, address, size, value, private) -> None:
-        if private:
+    def after_access(self, event: AccessEvent) -> None:
+        if event.private:
             return
-        site = self._pending_write
-        for a in range(address, address + size):
-            self._last_writer[a] = site
-
-    def after_read(self, tid, address, size, value, private) -> None:
-        if private:
-            return
-        self._current = self._site(tid, address, size, False)
+        if event.is_write:
+            site = self._current
+            for a in range(event.address, event.address + event.size):
+                self._last_writer[a] = site
+        else:
+            self._current = self._site(
+                event.tid, event.address, event.size, False
+            )
 
     # -- reporting --------------------------------------------------------------
 

@@ -835,4 +835,4 @@ def _record_chaos_trace(path: Path, seed: int) -> None:
         get_benchmark("lu_ncb"), scale="test", racy=False, seed=seed
     )
     run_clean(program, extra_monitors=[recorder])
-    recorder.trace.save(path, format="binary", chunk_events=64)
+    recorder.trace.save(path, chunk_events=64)

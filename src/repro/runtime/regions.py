@@ -184,11 +184,11 @@ class WriteAtomicityOracle(ExecutionMonitor):
 
     def after_access(self, event: AccessEvent) -> None:
         if event.is_write:
-            self._after_write(event)
+            self._record_write(event)
         else:
-            self._after_read(event)
+            self._check_torn_read(event)
 
-    def _after_write(self, event: AccessEvent) -> None:
+    def _record_write(self, event: AccessEvent) -> None:
         if event.private:
             return
         tid = event.tid
@@ -200,7 +200,7 @@ class WriteAtomicityOracle(ExecutionMonitor):
             self._writer_of[address + i] = region
             members.add(address + i)
 
-    def _after_read(self, event: AccessEvent) -> None:
+    def _check_torn_read(self, event: AccessEvent) -> None:
         tid = event.tid
         address = event.address
         size = event.size

@@ -11,13 +11,12 @@ are all monitors.
 Monitor dispatch is *fused*: at construction the scheduler compiles, for
 every hook, the chain of monitors that actually override it, so a hook
 nobody overrides costs nothing per event (the pre-refactor dispatch
-called every monitor's no-op base hook on every access).  Memory
-operations additionally build one :class:`~repro.core.events.AccessEvent`
-per operation — carrying tid, address, size, direction, privacy, the
-thread's SFR ordinal and deterministic clock — and hand that single
-object to every event-aware monitor via :meth:`ExecutionMonitor.before_access`
-/ :meth:`ExecutionMonitor.after_access`; the positional per-field hooks
-(``before_read`` and friends) remain supported through thin adapters.
+called every monitor's no-op base hook on every access).  Memory is
+observed through one hook pair: each operation builds one
+:class:`~repro.core.events.AccessEvent` — carrying tid, address, size,
+direction, privacy, the thread's SFR ordinal and deterministic clock —
+and hands it to :meth:`ExecutionMonitor.before_access` and
+:meth:`ExecutionMonitor.after_access`.
 ``Scheduler(fused=False)`` restores the pre-refactor call-every-monitor
 dispatch, kept as the reference implementation for the equivalence
 property tests and the ``benchmarks/bench_hotpath.py`` baseline.
@@ -121,23 +120,14 @@ class SyncCommit:
 class ExecutionMonitor:
     """Base monitor: every hook is a no-op.  Subclass what you need.
 
-    Hooks that observe memory run in the order required by Section 4.3:
-    ``before_write`` fires before the store, ``after_read`` fires right
-    after the load.  Any hook may raise
+    Memory is observed through :meth:`before_access` and
+    :meth:`after_access`, which receive the single
+    :class:`~repro.core.events.AccessEvent` the scheduler builds per
+    operation (``event.is_write`` gives the direction).  They run in the
+    order Section 4.3 requires: a write is checked in
+    :meth:`before_access`, before the store, and a read in
+    :meth:`after_access`, right after the load.  Any hook may raise
     :class:`~repro.core.exceptions.RaceException` to stop the execution.
-
-    Memory observation comes in two equivalent styles; override one:
-
-    * the *event* hooks :meth:`before_access` / :meth:`after_access`,
-      which receive the single :class:`~repro.core.events.AccessEvent`
-      the scheduler builds per operation (preferred on hot paths — no
-      per-monitor re-derivation of fields, and extra context like the
-      SFR ordinal rides along);
-    * the per-field hooks (:meth:`before_read`, :meth:`after_read`,
-      :meth:`before_write`, :meth:`after_write`), adapted automatically.
-
-    A monitor overriding both styles gets only the event hooks called
-    (the event form is the source of truth).
 
     The scheduler only calls hooks a subclass actually overrides, so a
     new hook costs nothing until somebody uses it.
@@ -168,24 +158,6 @@ class ExecutionMonitor:
         ``event.value`` carries the loaded/stored value.  Do not retain
         ``event``.
         """
-
-    def before_read(self, tid: int, address: int, size: int, private: bool) -> None:
-        """About to load ``size`` bytes at ``address``."""
-
-    def after_read(
-        self, tid: int, address: int, size: int, value: int, private: bool
-    ) -> None:
-        """Loaded ``value`` from ``address`` (race check point for reads)."""
-
-    def before_write(
-        self, tid: int, address: int, size: int, value: int, private: bool
-    ) -> None:
-        """About to store ``value`` (race check point for writes)."""
-
-    def after_write(
-        self, tid: int, address: int, size: int, value: int, private: bool
-    ) -> None:
-        """Store completed."""
 
     def on_acquire(self, tid: int, lock: Lock) -> None:
         """``tid`` acquired ``lock`` (happens-after its last releaser)."""
@@ -223,22 +195,6 @@ class ExecutionMonitor:
 
     def on_sync_commit(self, tid: int, op: Op) -> None:
         """A synchronization operation committed (rollover hook point)."""
-
-    def on_access_block(self, tid: int, events: Sequence[AccessEvent]) -> None:
-        """A run of ``tid``'s accesses, delivered as one in-order block.
-
-        The batch lane: streaming replay and the offline analysis engine
-        hand whole synchronization-free runs here instead of one event
-        at a time.  Semantically equivalent to calling
-        :meth:`before_access` / :meth:`after_access` for every event in
-        order — the default does exactly that, so every monitor is
-        batch-correct for free; batch-aware monitors override it.
-        """
-        before = self.before_access
-        after = self.after_access
-        for event in events:
-            before(event)
-            after(event)
 
     def on_rollback(self, tid: int) -> None:
         """Recovery discarded ``tid``'s open SFR (its buffered writes
@@ -477,54 +433,10 @@ class Scheduler:
         self._c_sync_commit = c["on_sync_commit"]
         self._c_rollback = c["on_rollback"]
 
-        # Event-hook chains: monitors consuming AccessEvents directly.
-        self._ev_before = tuple(
-            m.before_access for m in monitors if _overrides(m, "before_access")
-        )
-        self._ev_after = tuple(
-            m.after_access for m in monitors if _overrides(m, "after_access")
-        )
-
-        # Fused memory chains: one callable-of-event per interested
-        # monitor per dispatch point, in stack order.  Event-style
-        # monitors contribute their bound hook; per-field monitors are
-        # adapted by a closure that unpacks the event.
-        def memory_chain(point: str) -> Tuple[Callable, ...]:
-            event_hook = "before_access" if point.startswith("before") else "after_access"
-            out: List[Callable] = []
-            for m in monitors:
-                if _overrides(m, event_hook):
-                    out.append(getattr(m, event_hook))
-                elif _overrides(m, point):
-                    f = getattr(m, point)
-                    if point in ("before_read",):
-                        out.append(
-                            lambda ev, f=f: f(ev.tid, ev.address, ev.size, ev.private)
-                        )
-                    else:
-                        out.append(
-                            lambda ev, f=f: f(
-                                ev.tid, ev.address, ev.size, ev.value, ev.private
-                            )
-                        )
-            return tuple(out)
-
-        self._c_read_before = memory_chain("before_read")
-        self._c_read_after = memory_chain("after_read")
-        self._c_write_before = memory_chain("before_write")
-        self._c_write_after = memory_chain("after_write")
-
-        # The batch lane: monitors consuming whole access runs.  Event-
-        # style monitors ride along through the base class's default
-        # (which loops their per-event hooks), so block dispatch is
-        # semantically the per-event dispatch.
-        self._c_access_block = tuple(
-            m.on_access_block
-            for m in monitors
-            if _overrides(m, "on_access_block")
-            or _overrides(m, "before_access")
-            or _overrides(m, "after_access")
-        )
+        # Memory chains: each memory operation hands its AccessEvent to
+        # these two.
+        self._ev_before = chain("before_access")
+        self._ev_after = chain("after_access")
 
         handlers = dict(self._HANDLERS)
         if self.recovery is not None:
@@ -532,9 +444,6 @@ class Scheduler:
             handlers[Write] = Scheduler._do_write_buffered
             handlers[AtomicRMW] = Scheduler._do_rmw_buffered
         if not self.fused:
-            handlers[Read] = Scheduler._do_read_legacy
-            handlers[Write] = Scheduler._do_write_legacy
-            handlers[AtomicRMW] = Scheduler._do_rmw_legacy
             # The reference mode also restores the pre-refactor support
             # paths (per-thread sort + call-per-candidate feasibility,
             # isinstance-chain op classification), so benchmarks compare
@@ -542,15 +451,6 @@ class Scheduler:
             self._schedulable = self._schedulable_legacy
             self._feasible = self._feasible_legacy
         self._handlers = handlers
-
-    def dispatch_access_block(
-        self, tid: int, events: Sequence[AccessEvent]
-    ) -> None:
-        """Deliver one thread's in-order access run to every interested
-        monitor through the compiled batch lane (replay drivers only —
-        live execution dispatches per event)."""
-        for fn in self._c_access_block:
-            fn(tid, events)
 
     # -- public API -----------------------------------------------------------
 
@@ -826,11 +726,11 @@ class Scheduler:
         for hook in self._c_sync_commit:
             hook(record.tid, op)
 
-    # -- memory operations (the fused hot path) --------------------------------
+    # -- memory operations (both dispatch modes; only the chains differ) ------
 
     def _do_read(self, record: _ThreadRecord, op: Read) -> None:
-        before = self._c_read_before
-        after = self._c_read_after
+        before = self._ev_before
+        after = self._ev_after
         if before or after:
             event = AccessEvent(
                 record.tid, op.address, op.size, False, op.private,
@@ -850,8 +750,8 @@ class Scheduler:
         record.inbox = value
 
     def _do_write(self, record: _ThreadRecord, op: Write) -> None:
-        before = self._c_write_before
-        after = self._c_write_after
+        before = self._ev_before
+        after = self._ev_after
         if before or after:
             event = AccessEvent(
                 record.tid, op.address, op.size, True, op.private,
@@ -874,21 +774,21 @@ class Scheduler:
             tid, op.address, op.size, False, False,
             None, record.region, record.det_counter,
         )
-        for fn in self._c_read_before:
+        for fn in self._ev_before:
             fn(read_event)
         old = self.memory.load_int(op.address, op.size)
         read_event.value = old
-        for fn in self._c_read_after:
+        for fn in self._ev_after:
             fn(read_event)
         new = op.fn(old)
         write_event = AccessEvent(
             tid, op.address, op.size, True, False,
             new, record.region, record.det_counter,
         )
-        for fn in self._c_write_before:
+        for fn in self._ev_before:
             fn(write_event)
         self.memory.store_int(op.address, op.size, new)
-        for fn in self._c_write_after:
+        for fn in self._ev_after:
             fn(write_event)
         self._shared_reads += 1
         self._shared_writes += 1
@@ -906,8 +806,8 @@ class Scheduler:
 
     def _do_read_buffered(self, record: _ThreadRecord, op: Read) -> None:
         overlay = self.recovery.overlay(record.tid)
-        before = self._c_read_before
-        after = self._c_read_after
+        before = self._ev_before
+        after = self._ev_after
         if before or after:
             event = AccessEvent(
                 record.tid, op.address, op.size, False, op.private,
@@ -927,8 +827,8 @@ class Scheduler:
         record.inbox = value
 
     def _do_write_buffered(self, record: _ThreadRecord, op: Write) -> None:
-        before = self._c_write_before
-        after = self._c_write_after
+        before = self._ev_before
+        after = self._ev_after
         if before or after:
             event = AccessEvent(
                 record.tid, op.address, op.size, True, op.private,
@@ -952,116 +852,22 @@ class Scheduler:
             tid, op.address, op.size, False, False,
             None, record.region, record.det_counter,
         )
-        for fn in self._c_read_before:
+        for fn in self._ev_before:
             fn(read_event)
         old = self.memory.load_int_overlay(op.address, op.size, overlay)
         read_event.value = old
-        for fn in self._c_read_after:
+        for fn in self._ev_after:
             fn(read_event)
         new = op.fn(old)
         write_event = AccessEvent(
             tid, op.address, op.size, True, False,
             new, record.region, record.det_counter,
         )
-        for fn in self._c_write_before:
+        for fn in self._ev_before:
             fn(write_event)
         self.recovery.buffer_store(tid, op.address, op.size, new)
-        for fn in self._c_write_after:
+        for fn in self._ev_after:
             fn(write_event)
-        self._shared_reads += 1
-        self._shared_writes += 1
-        self._charge(record, op)
-        record.inbox = old
-
-    # -- memory operations (pre-refactor reference dispatch) --------------------
-
-    def _dispatch_event_legacy(
-        self, chains: Tuple[Callable, ...], event: AccessEvent
-    ) -> None:
-        for fn in chains:
-            fn(event)
-
-    def _do_read_legacy(self, record: _ThreadRecord, op: Read) -> None:
-        tid = record.tid
-        event = None
-        if self._ev_before or self._ev_after:
-            event = AccessEvent(
-                tid, op.address, op.size, False, op.private,
-                None, record.region, record.det_counter,
-            )
-        for monitor in self.monitors:
-            monitor.before_read(tid, op.address, op.size, op.private)
-        if event is not None:
-            self._dispatch_event_legacy(self._ev_before, event)
-        value = self.memory.load_int(op.address, op.size)
-        if event is not None:
-            event.value = value
-        for monitor in self.monitors:
-            monitor.after_read(tid, op.address, op.size, value, op.private)
-        if event is not None:
-            self._dispatch_event_legacy(self._ev_after, event)
-        if not op.private:
-            self._shared_reads += 1
-        self._charge(record, op)
-        record.inbox = value
-
-    def _do_write_legacy(self, record: _ThreadRecord, op: Write) -> None:
-        tid = record.tid
-        event = None
-        if self._ev_before or self._ev_after:
-            event = AccessEvent(
-                tid, op.address, op.size, True, op.private,
-                op.value, record.region, record.det_counter,
-            )
-        for monitor in self.monitors:
-            monitor.before_write(tid, op.address, op.size, op.value, op.private)
-        if event is not None:
-            self._dispatch_event_legacy(self._ev_before, event)
-        self.memory.store_int(op.address, op.size, op.value)
-        for monitor in self.monitors:
-            monitor.after_write(tid, op.address, op.size, op.value, op.private)
-        if event is not None:
-            self._dispatch_event_legacy(self._ev_after, event)
-        if not op.private:
-            self._shared_writes += 1
-        self._charge(record, op)
-
-    def _do_rmw_legacy(self, record: _ThreadRecord, op: AtomicRMW) -> None:
-        tid = record.tid
-        use_events = bool(self._ev_before or self._ev_after)
-        read_event = None
-        if use_events:
-            read_event = AccessEvent(
-                tid, op.address, op.size, False, False,
-                None, record.region, record.det_counter,
-            )
-        for monitor in self.monitors:
-            monitor.before_read(tid, op.address, op.size, False)
-        if read_event is not None:
-            self._dispatch_event_legacy(self._ev_before, read_event)
-        old = self.memory.load_int(op.address, op.size)
-        if read_event is not None:
-            read_event.value = old
-        for monitor in self.monitors:
-            monitor.after_read(tid, op.address, op.size, old, False)
-        if read_event is not None:
-            self._dispatch_event_legacy(self._ev_after, read_event)
-        new = op.fn(old)
-        write_event = None
-        if use_events:
-            write_event = AccessEvent(
-                tid, op.address, op.size, True, False,
-                new, record.region, record.det_counter,
-            )
-        for monitor in self.monitors:
-            monitor.before_write(tid, op.address, op.size, new, False)
-        if write_event is not None:
-            self._dispatch_event_legacy(self._ev_before, write_event)
-        self.memory.store_int(op.address, op.size, new)
-        for monitor in self.monitors:
-            monitor.after_write(tid, op.address, op.size, new, False)
-        if write_event is not None:
-            self._dispatch_event_legacy(self._ev_after, write_event)
         self._shared_reads += 1
         self._shared_writes += 1
         self._charge(record, op)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.events import AccessEvent
 from .regions import RegionId, SfrTracker
 from .scheduler import ExecutionMonitor
 
@@ -83,16 +84,18 @@ class RegionSerializabilityOracle(ExecutionMonitor):
             self.edges.add((earlier, later))
             self.edge_witnesses.append(ConflictEdge(earlier, later, address))
 
-    def after_read(self, tid, address, size, value, private) -> None:
-        if not private:
+    def before_access(self, event: AccessEvent) -> None:
+        if event.is_write and not event.private:
             self._note_conflicts(
-                self.tracker.current_region(tid), address, size, False
+                self.tracker.current_region(event.tid),
+                event.address, event.size, True,
             )
 
-    def before_write(self, tid, address, size, value, private) -> None:
-        if not private:
+    def after_access(self, event: AccessEvent) -> None:
+        if not event.is_write and not event.private:
             self._note_conflicts(
-                self.tracker.current_region(tid), address, size, True
+                self.tracker.current_region(event.tid),
+                event.address, event.size, False,
             )
 
     # -- the verdict -------------------------------------------------------------

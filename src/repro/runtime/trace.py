@@ -15,23 +15,19 @@ weight for the non-memory work between accesses.
 Persistence
 -----------
 
-The native on-disk format is *chunked binary*: a magic header followed by
+The one on-disk format is *chunked binary*: a magic header followed by
 per-thread chunks of struct-packed records, each chunk optionally
-zlib-compressed and carrying its own sync-name table.  Binary traces can
-be replayed without materializing the full event lists — see
+zlib-compressed, CRC-stamped and carrying its own sync-name table.
+Traces can be replayed without materializing the full event lists — see
 :class:`StreamingTrace` and :func:`open_trace` — so a long recorded
-workload streams through the simulator chunk by chunk.
-
-The original JSON-lines format remains supported: :meth:`Trace.save`
-writes it when the path ends in ``.jsonl`` (or ``format="jsonl"`` is
-forced), and :meth:`Trace.load` auto-detects the format from the magic
-bytes, so old traces keep loading unchanged.
+workload streams through the simulator chunk by chunk.  Every reader
+checks the magic bytes first: a file without them (an empty file, or a
+JSON-lines trace from an older recorder) raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -66,9 +62,8 @@ READ = "R"
 WRITE = "W"
 SYNC = "S"
 
-#: Magic bytes opening every binary trace file, followed by one format
-#: version byte.  Files not starting with these bytes are treated as the
-#: legacy JSON-lines format.
+#: Magic bytes opening every trace file, followed by one format version
+#: byte.  Files not starting with these bytes are rejected.
 TRACE_MAGIC = b"CLNTRACE"
 _TRACE_VERSION = 1
 
@@ -302,11 +297,14 @@ def _decode_payload(payload: bytes, n_events: int) -> List[TraceEvent]:
         offset += length
     events: List[TraceEvent] = []
     for code, address, size, gap, idx in _RECORD.iter_unpack(payload[offset:]):
-        if code & ~_PRIVATE_BIT != _KIND_CODE[SYNC]:
+        kind = _CODE_KIND.get(code & ~_PRIVATE_BIT)
+        if kind is None:
+            raise ValueError(f"unknown event kind code {code & ~_PRIVATE_BIT}")
+        if kind != SYNC:
             _check_access_size(size)
         events.append(
             TraceEvent(
-                kind=_CODE_KIND[code & ~_PRIVATE_BIT],
+                kind=kind,
                 address=address,
                 size=size,
                 private=bool(code & _PRIVATE_BIT),
@@ -499,11 +497,6 @@ def _decode_stored_chunk(
         raise _corrupt(path, index, offset, str(exc)) from None
 
 
-def _is_binary_trace(path: Union[str, Path]) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(len(TRACE_MAGIC)) == TRACE_MAGIC
-
-
 @dataclass
 class Trace:
     """Per-thread event streams of one execution, held in memory.
@@ -574,48 +567,17 @@ class Trace:
     def save(
         self,
         path: Union[str, Path],
-        format: Optional[str] = None,
         compress: bool = True,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
         crc: bool = True,
     ) -> None:
-        """Write the trace to ``path``.
+        """Write the trace to ``path`` in the chunked binary format,
+        whatever its extension.
 
-        ``format`` is ``"binary"`` (chunked struct records, the native
-        format), ``"jsonl"`` (the legacy self-describing text format) or
-        ``None`` to pick by extension: ``.jsonl`` paths get JSON-lines,
-        everything else the binary format.  ``compress`` zlib-compresses
-        each binary chunk; ``chunk_events`` bounds events per chunk;
-        ``crc`` stamps each binary chunk with a CRC32 of its stored
-        bytes so loaders can detect bit damage.
+        ``compress`` zlib-compresses each chunk; ``chunk_events`` bounds
+        events per chunk; ``crc`` stamps each chunk with a CRC32 of its
+        stored bytes so loaders can detect bit damage.
         """
-        if format is None:
-            format = "jsonl" if str(path).endswith(".jsonl") else "binary"
-        if format == "jsonl":
-            self._save_jsonl(path)
-        elif format == "binary":
-            self._save_binary(
-                path, compress=compress, chunk_events=chunk_events, crc=crc
-            )
-        else:
-            raise ValueError(f"unknown trace format {format!r}")
-
-    def _save_jsonl(self, path: Union[str, Path]) -> None:
-        with open(path, "w") as fh:
-            for tid in self.thread_ids():
-                events = [
-                    [e.kind, e.address, e.size, int(e.private), e.gap, e.sync_name]
-                    for e in self.per_thread[tid]
-                ]
-                fh.write(json.dumps({"tid": tid, "events": events}) + "\n")
-
-    def _save_binary(
-        self,
-        path: Union[str, Path],
-        compress: bool,
-        chunk_events: int,
-        crc: bool = True,
-    ) -> None:
         if chunk_events < 1:
             raise ValueError("chunk_events must be positive")
         with open(path, "wb") as fh:
@@ -637,25 +599,17 @@ class Trace:
 
     @classmethod
     def load(cls, path: Union[str, Path], salvage: bool = False) -> "Trace":
-        """Read a trace written by :meth:`save` (either format).
+        """Read a trace written by :meth:`save`.
 
-        The format is detected from the file's magic bytes, not its
-        name, so renamed files load fine.  With ``salvage=True``, binary
-        chunks whose payload is damaged (bad CRC, zlib damage, garbled
-        records) are skipped instead of raising; the skipped count lands
-        in :attr:`salvaged_chunks` and the ``trace.salvaged_chunks``
+        A file without the trace magic bytes raises ``ValueError``,
+        whatever its name.  With ``salvage=True``, chunks whose payload
+        is damaged (bad CRC, zlib damage, garbled records) are skipped
+        instead of raising; the skipped count lands in
+        :attr:`salvaged_chunks` and the ``trace.salvaged_chunks``
         telemetry counter.  Damage to the chunk *structure* itself — a
         truncated header or short stored region — still raises, because
         the rest of the file cannot be walked past it.
         """
-        if _is_binary_trace(path):
-            return cls._load_binary(path, salvage=salvage)
-        return cls._load_jsonl(path)
-
-    @classmethod
-    def _load_binary(
-        cls, path: Union[str, Path], salvage: bool = False
-    ) -> "Trace":
         per_thread: Dict[int, List[TraceEvent]] = {}
         salvaged = 0
         with open(path, "rb") as fh:
@@ -679,34 +633,6 @@ class Trace:
                 index += 1
         _note_salvaged(salvaged)
         return cls(per_thread=per_thread, salvaged_chunks=salvaged)
-
-    @classmethod
-    def _load_jsonl(cls, path: Union[str, Path]) -> "Trace":
-        per_thread: Dict[int, List[TraceEvent]] = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                per_thread[int(record["tid"])] = [
-                    TraceEvent(
-                        kind=kind,
-                        address=address,
-                        size=size,
-                        private=bool(private),
-                        gap=gap,
-                        sync_name=sync_name,
-                    )
-                    for kind, address, size, private, gap, sync_name in record[
-                        "events"
-                    ]
-                ]
-        for events in per_thread.values():
-            for e in events:
-                if e.kind != SYNC:
-                    _check_access_size(e.size)
-        return cls(per_thread=per_thread)
 
 
 def _check_magic(fh: BinaryIO, path: Union[str, Path]) -> None:
@@ -866,18 +792,13 @@ class StreamingTrace:
 
 def open_trace(
     path: Union[str, Path], salvage: bool = False
-) -> Union[Trace, StreamingTrace]:
-    """Open a trace file for replay with minimal memory.
-
-    Binary traces come back as a :class:`StreamingTrace`; legacy
-    JSON-lines traces (which have no chunk structure to stream) are
-    loaded in memory.  Both satisfy the simulator's protocol.
-    ``salvage=True`` validates and drops damaged binary chunks at open
-    time instead of raising (see :class:`StreamingTrace`).
+) -> StreamingTrace:
+    """Open a trace file for replay with minimal memory: a
+    :class:`StreamingTrace`.  ``salvage=True`` validates and drops
+    damaged chunks at open time instead of raising (see
+    :class:`StreamingTrace`).
     """
-    if _is_binary_trace(path):
-        return StreamingTrace(path, salvage=salvage)
-    return Trace._load_jsonl(path)
+    return StreamingTrace(path, salvage=salvage)
 
 
 def _verify_walk(fh: BinaryIO, path: object) -> int:

@@ -64,7 +64,6 @@ def scenarios(draw):
         # lane must skip them exactly as the scalar loop does.
         "stale": draw(st.lists(st.tuples(addresses, sizes), max_size=6)),
         "block": draw(st.lists(accesses, min_size=16, max_size=400)),
-        "columnar": draw(st.booleans()),
         "far": draw(st.booleans()),
     }
 
@@ -107,6 +106,18 @@ def build(scenario):
     return monitor
 
 
+def columns(block):
+    """A list of ``(is_write, address, size, private)`` accesses in the
+    columnar form ``CleanMonitor.check_block`` takes."""
+    is_write, address, size, private = zip(*block)
+    return (
+        np.array(is_write, dtype=bool),
+        np.array(address, dtype=np.int64),
+        np.array(size, dtype=np.int64),
+        np.array(private, dtype=bool),
+    )
+
+
 def outcome(monitor, race, position):
     detector = monitor.detector
     return {
@@ -137,18 +148,8 @@ class TestBlockProperty:
         assume(batch._epoch_writes.get(0))  # non-empty pre-block set
 
         race = position = None
-        if scenario["columnar"]:
-            is_write, address, size, private = zip(*block)
-            argument = (
-                np.array(is_write, dtype=bool),
-                np.array(address, dtype=np.int64),
-                np.array(size, dtype=np.int64),
-                np.array(private, dtype=bool),
-            )
-        else:
-            argument = block
         try:
-            batch.check_block(0, argument)
+            batch.check_block(0, columns(block))
         except RaceException as exc:
             race, position = exc, batch.block_progress
         expected = outcome(batch, race, position)
@@ -172,7 +173,7 @@ def _count_lane(monkeypatch):
     original = CleanDetector.check_block
 
     def counting(self, tid, block, written=None):
-        n = len(block[1]) if type(block) is tuple else len(block)
+        n = len(block[1])
         call = {"lane": n >= self.BATCH_MIN, "raised": False}
         calls.append(call)
         try:
@@ -236,7 +237,7 @@ class TestRolloverInvalidatesWrittenSets:
                 # The write leads a block long enough for the vector lane.
                 block = [(True, X, 8, False)]
                 block += [(False, X, 8, False)] * (detector.BATCH_MIN - 1)
-                monitor.check_block(tid, block)
+                monitor.check_block(tid, columns(block))
 
         write(1)
         for i in range(10):

@@ -202,17 +202,17 @@ class _ByteProvenance(ExecutionMonitor):
     def __init__(self):
         self._written = {}
 
-    def after_write(self, tid, address, size, value, private):
-        for i in range(size):
-            self._written.setdefault(address + i, {0}).add((value >> (8 * i)) & 0xFF)
-
-    def after_read(self, tid, address, size, value, private):
-        for i in range(size):
+    def after_access(self, event):
+        address, value = event.address, event.value
+        for i in range(event.size):
             byte = (value >> (8 * i)) & 0xFF
-            legal = self._written.get(address + i, {0})
-            assert byte in legal, (
-                f"out-of-thin-air byte {byte:#x} at {address + i:#x}"
-            )
+            if event.is_write:
+                self._written.setdefault(address + i, {0}).add(byte)
+            else:
+                legal = self._written.get(address + i, {0})
+                assert byte in legal, (
+                    f"out-of-thin-air byte {byte:#x} at {address + i:#x}"
+                )
 
 
 class TestNoOutOfThinAir:

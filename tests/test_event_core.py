@@ -6,9 +6,9 @@ Four groups, matching the hot-path refactor's guarantees:
    :func:`~repro.core.events.stable_sync_id`, never object identity, so
    a reconstructed lock (record/replay, pickling) keeps its
    happens-before history.
-2. **Binary trace format** — round trips for both on-disk formats,
-   magic-byte auto-detection, and the streaming reader's equivalence to
-   the in-memory one.
+2. **Binary trace format** — round trips, rejection of files without
+   the magic bytes, and the streaming reader's equivalence to the
+   in-memory one.
 3. **Verdict invariance** — the fused dispatch + same-epoch-filter hot
    path raises a race exception iff the pre-refactor reference stack
    (``fused=False``, filter off) does, with identical provenance.
@@ -155,31 +155,35 @@ class TestBinaryTraceRoundTrip:
         Trace(per_thread={1: events}).save(path, chunk_events=7)
         assert Trace.load(path).per_thread[1] == events
 
-    def test_extension_picks_format(self, tmp_path):
-        jsonl = tmp_path / "t.jsonl"
-        binary = tmp_path / "t.trace"
-        small_trace().save(jsonl)
-        small_trace().save(binary)
-        assert jsonl.read_bytes()[:1] == b"{"
+    def test_every_extension_gets_binary(self, tmp_path):
         from repro.runtime.trace import TRACE_MAGIC
 
-        assert binary.read_bytes().startswith(TRACE_MAGIC)
+        for name in ("t.jsonl", "t.trace", "t"):
+            small_trace().save(tmp_path / name)
+            assert (tmp_path / name).read_bytes().startswith(TRACE_MAGIC)
 
     def test_magic_autodetect_ignores_extension(self, tmp_path):
-        # Binary trace saved under a .jsonl-looking name still loads,
-        # and a JSONL trace under a binary-looking name does too: the
-        # loader trusts the magic bytes, not the file name.
+        # The loader trusts the magic bytes, not the file name: a trace
+        # under a .jsonl name loads, and a JSON-lines file (the format
+        # of older recorders) under a .trace name is rejected.
         misnamed_binary = tmp_path / "renamed.jsonl"
-        small_trace().save(misnamed_binary, format="binary")
+        small_trace().save(misnamed_binary)
         assert Trace.load(misnamed_binary).per_thread == small_trace().per_thread
 
         misnamed_jsonl = tmp_path / "renamed.trace"
-        small_trace().save(misnamed_jsonl, format="jsonl")
-        assert Trace.load(misnamed_jsonl).per_thread == small_trace().per_thread
+        misnamed_jsonl.write_text(
+            '{"tid": 1, "events": [["W", 4096, 8, 0, 3, ""]]}\n'
+        )
+        with pytest.raises(ValueError, match="not a binary trace"):
+            Trace.load(misnamed_jsonl)
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            small_trace().save(tmp_path / "t", format="csv")
+        path = tmp_path / "t.csv"
+        path.write_text("kind,address,size\nW,4096,8\n")
+        with pytest.raises(ValueError, match="not a binary trace"):
+            Trace.load(path)
+        with pytest.raises(ValueError, match="not a binary trace"):
+            open_trace(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
         from repro.runtime.trace import TRACE_MAGIC
@@ -192,12 +196,13 @@ class TestBinaryTraceRoundTrip:
 
 class TestStreamingTrace:
     def test_open_trace_dispatches_by_magic(self, tmp_path):
-        binary = tmp_path / "t.trace"
-        jsonl = tmp_path / "t.jsonl"
+        binary = tmp_path / "t.jsonl"
         small_trace().save(binary)
-        small_trace().save(jsonl)
         assert isinstance(open_trace(binary), StreamingTrace)
-        assert isinstance(open_trace(jsonl), Trace)
+        empty = tmp_path / "empty.trace"
+        empty.write_bytes(b"")
+        with pytest.raises(ValueError, match="shorter than its header"):
+            open_trace(empty)
 
     def test_matches_in_memory_load(self, tmp_path):
         path = tmp_path / "t.trace"

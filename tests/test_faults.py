@@ -82,12 +82,6 @@ class TestTraceHardening:
         trace.save(path, crc=False)
         assert Trace.load(path).per_thread == trace.per_thread
 
-    def test_jsonl_legacy_unaffected(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        trace = small_trace()
-        trace.save(path)
-        assert Trace.load(path).per_thread == trace.per_thread
-
     def test_bitflip_detected_with_context(self, tmp_path):
         path = tmp_path / "t.bin"
         small_trace().save(path, chunk_events=128)

@@ -503,95 +503,3 @@ class TestSpansOrigin:
         records = read_jsonl(str(path))
         assert [r["type"] for r in records] == ["header", "span"]
         assert records[0]["format"] == SPANS_FORMAT_VERSION
-
-
-# ---------------------------------------------------------------------------
-# Batch-lane compatibility: forensic observers under block dispatch
-# ---------------------------------------------------------------------------
-
-
-class _SchedulerStub:
-    """Just enough scheduler surface for a detached TimelineRecorder."""
-
-    _threads = {0: None}
-
-    def region_of(self, tid):
-        return 0
-
-    def det_counter(self, tid):
-        return 0
-
-
-def _forensic_events(n=48):
-    """A deterministic mixed access run: repeats (same-epoch hits),
-    private accesses, and several distinct addresses."""
-    from repro.core.events import AccessEvent
-
-    events = []
-    for i in range(n):
-        events.append(
-            AccessEvent(
-                tid=0,
-                address=0x1000 + (i % 5) * 8,
-                size=8 if i % 3 else 4,
-                is_write=(i % 2 == 0),
-                private=(i % 7 == 0),
-            )
-        )
-    return events
-
-
-class TestBatchLaneCompatibility:
-    """Delivering an access run as one ``on_access_block`` must be
-    observationally identical to per-event hook delivery for every
-    forensic observer — timeline payloads byte-identical, site profiles
-    figure-identical."""
-
-    def test_timeline_payload_byte_identical_under_batching(self):
-        def drive(recorder, batched):
-            recorder.attach(_SchedulerStub())
-            recorder.on_thread_start(0, None)
-            events = _forensic_events()
-            if batched:
-                recorder.on_access_block(0, events)
-            else:
-                for event in events:
-                    recorder.before_access(event)
-                    recorder.after_access(event)
-            recorder.on_sync_commit(0, None)
-            recorder.on_thread_exit(0)
-            return recorder.to_payload()
-
-        scalar = drive(TimelineRecorder(label="lane"), batched=False)
-        batched = drive(TimelineRecorder(label="lane"), batched=True)
-        assert json.dumps(scalar, sort_keys=True) == json.dumps(
-            batched, sort_keys=True
-        )
-
-    def test_site_profiler_identical_under_batching(self):
-        from repro.clean import CleanMonitor
-        from repro.core import CleanDetector
-        from repro.obs.sites import SiteProfiler
-
-        def drive(batched):
-            sites = SiteProfiler()
-            monitor = CleanMonitor(
-                detector=CleanDetector(max_threads=4), sites=sites
-            )
-            monitor.on_thread_start(0, None)
-            events = _forensic_events()
-            if batched:
-                monitor.on_access_block(0, events)
-            else:
-                for event in events:
-                    monitor.before_access(event)
-                    monitor.after_access(event)
-            return sites, monitor.detector.stats
-
-        scalar_sites, scalar_stats = drive(batched=False)
-        batch_sites, batch_stats = drive(batched=True)
-        assert scalar_sites.to_payload() == batch_sites.to_payload()
-        assert scalar_stats.reads == batch_stats.reads
-        assert scalar_stats.writes == batch_stats.writes
-        assert scalar_stats.epoch_comparisons == batch_stats.epoch_comparisons
-        assert scalar_stats.epoch_updates == batch_stats.epoch_updates

@@ -25,35 +25,20 @@ class TestTracePersistence:
         )
 
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.trace"
         original = self.small_trace()
         original.save(path)
         loaded = Trace.load(path)
         assert loaded.per_thread == original.per_thread
 
-    def test_format_is_jsonl(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        self.small_trace().save(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        record = json.loads(lines[0])
-        assert record["tid"] == 1
-        assert len(record["events"]) == 3
-
     def test_simulation_identical_after_roundtrip(self, tmp_path):
         trace = record_trace(get_benchmark("fft"), scale="test")
-        path = tmp_path / "fft.jsonl"
+        path = tmp_path / "fft.trace"
         trace.save(path)
         loaded = Trace.load(path)
         a = simulate_trace(trace, SimConfig(detection=True))
         b = simulate_trace(loaded, SimConfig(detection=True))
         assert a.cycles == b.cycles
-
-    def test_empty_lines_ignored(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        self.small_trace().save(path)
-        path.write_text(path.read_text() + "\n\n")
-        assert Trace.load(path).total_events == 4
 
 
 class TestCli:
@@ -73,14 +58,14 @@ class TestCli:
         assert "race =" in out
 
     def test_trace_and_simulate(self, tmp_path, capsys):
-        out_file = str(tmp_path / "trace.jsonl")
+        out_file = str(tmp_path / "trace.trace")
         assert cli_main(["trace", "swaptions", out_file]) == 0
         assert cli_main(["simulate", out_file]) == 0
         out = capsys.readouterr().out
         assert "slowdown" in out
 
     def test_simulate_precise_unit(self, tmp_path, capsys):
-        out_file = str(tmp_path / "trace.jsonl")
+        out_file = str(tmp_path / "trace.trace")
         cli_main(["trace", "swaptions", out_file])
         assert cli_main(["simulate", out_file, "--unit", "precise"]) == 0
 
@@ -96,3 +81,61 @@ class TestCli:
         assert cli_main(["experiment", "fig7"]) == 0
         out = capsys.readouterr().out
         assert "lu_cb" in out
+
+
+class TestInputErrors:
+    """``analyze`` and ``simulate`` answer an unreadable trace with one
+    ``error:`` line on stderr and exit 2; ``analyze`` keeps 1 for a
+    race and 0 for a clean trace."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        paths = {name: root / f"{name}.trace" for name in ("racy", "clean")}
+        for name, path in paths.items():
+            argv = ["trace", "dedup", str(path), "--scale", "test"]
+            assert cli_main(argv + (["--racy"] if name == "racy" else [])) == 0
+        raw = paths["clean"].read_bytes()
+        paths["empty"] = root / "empty.trace"
+        paths["empty"].write_bytes(b"")
+        paths["list"] = root / "list.trace"
+        paths["list"].write_text("[1]")
+        paths["jsonl"] = root / "old.jsonl"
+        paths["jsonl"].write_text(
+            json.dumps({"tid": 0, "events": [["W", 4096, 8, 0, 0, ""]]}) + "\n"
+        )
+        paths["header_cut"] = root / "header_cut.trace"
+        paths["header_cut"].write_bytes(raw[:20])
+        paths["payload_cut"] = root / "payload_cut.trace"
+        paths["payload_cut"].write_bytes(raw[: len(raw) // 2])
+        paths["missing"] = root / "missing.trace"
+        paths["no_events"] = root / "no_events.trace"
+        Trace(per_thread={}).save(paths["no_events"])
+        return paths
+
+    @pytest.mark.parametrize(
+        "name", ["empty", "list", "jsonl", "header_cut", "payload_cut",
+                 "missing"],
+    )
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_analyze_unreadable_exits_2(self, traces, capsys, name, json_out):
+        argv = ["analyze", str(traces[name])] + (["--json"] if json_out else [])
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_analyze_verdict_codes_unchanged(self, traces, capsys):
+        assert cli_main(["analyze", str(traces["racy"])]) == 1
+        assert "RACE:" in capsys.readouterr().out
+        assert cli_main(["analyze", str(traces["clean"]), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["racy"] is False
+
+    @pytest.mark.parametrize("name", ["no_events", "empty", "header_cut"])
+    def test_simulate_unreadable_exits_2(self, traces, capsys, name):
+        assert cli_main(["simulate", str(traces[name])]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "slowdown" not in captured.out
