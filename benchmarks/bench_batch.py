@@ -5,18 +5,17 @@ shared lock — replayed through both analysis modes of
 :func:`repro.analysis.analyze_trace`:
 
 * ``long_sfr``   — a lock round trip every 250 iterations (1,000
-  accesses): long synchronization-free runs, the shape
-  ``check_block`` vectorizes;
+  accesses): long synchronization-free runs, each checked alone;
 * ``sync_dense`` — a lock round trip every iteration (4 accesses):
-  segments below ``BATCH_MIN``, the shape the window lane joins.
+  segments below ``BATCH_MIN``, joined in windows.
 
 and in both modes:
 
 * ``scalar``  — the reference path: every access through the monitor's
   per-event ``_check_one``.
-* ``batch``   — long runs through ``CleanMonitor.check_block``, runs of
-  short segments through ``CleanMonitor.check_window``; scalar fallback
-  only for the conflict minority.
+* ``batch``   — every segment through ``CleanMonitor.check_block``: a
+  long run as a one-segment block, runs of short segments as one
+  window; scalar fallback only for the conflict minority.
 
 Both modes must agree on verdict and every ``clean.*`` counter — the
 benchmark asserts it before reporting a single number.  The JSON

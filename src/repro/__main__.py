@@ -38,11 +38,13 @@ trace NAME OUT.trace [--scale S] [--seed K] [--racy]
     analysis).  Every path gets the binary format; JSON-lines traces
     from older versions are no longer read, so re-record them.
 analyze TRACE [--mode scalar|batch] [--salvage] [--hot-sites K] [--json]
-    Race-analyze a recorded trace offline: the vectorized check_block
-    batch path by default, or the scalar reference loop; both modes
+    Race-analyze a recorded trace offline: by default the vectorized
+    check_block kernel, which takes each long segment alone and joins
+    runs of short ones, or the scalar reference loop; both modes
     report identical verdicts, racing pairs and clean.* counters.
     ``--hot-sites K`` ranks the K most-accessed shared addresses.
-    Exits 1 when a race is found, 2 when the trace cannot be read.
+    Exits 1 when a race is found, 2 when the trace cannot be read or
+    replayed.
 serve [--host H] [--port P] [--workers N] [--queue-size N] [--quota T]
       [--mode batch|scalar] [--spool DIR] [--for SECONDS]
       [--sample-interval S] [--retention N] [--slo CONFIG]
@@ -951,8 +953,8 @@ def main(argv=None) -> int:
     p.add_argument("trace")
     p.add_argument("--mode", default="batch",
                    choices=["scalar", "batch"],
-                   help="scalar reference or vectorized check_block batch "
-                        "(default)")
+                   help="scalar reference or the vectorized check_block "
+                        "kernel (default)")
     p.add_argument("--salvage", action="store_true",
                    help="analyze the readable prefix of a damaged trace")
     p.add_argument("--hot-sites", type=int, default=0, metavar="K",

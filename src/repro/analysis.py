@@ -10,11 +10,11 @@ and drives the CLEAN detector over the trace, entirely offline:
 
 * **scalar** mode replays one access at a time through the exact
   per-event monitor path;
-* **batch** mode hands each synchronization-free run of ``BATCH_MIN``
-  or more shared accesses to the vectorized ``check_block`` lane, and
-  joins runs of shorter ones in *windows* through ``check_window``,
-  each segment against the vector clock its thread held when it ended
-  — same verdicts, same counters, much faster.
+* **batch** mode checks segments through the one vectorized kernel,
+  ``check_block``, each segment against the vector clock its thread
+  held when it ended: a synchronization-free run of ``BATCH_MIN`` or
+  more shared accesses goes in alone, and runs of shorter ones are
+  joined in *windows* — same verdicts, same counters, much faster.
 
 Replay order
 ------------
@@ -120,12 +120,24 @@ class _Cols:
 
 
 class _Plan:
-    """The replay plan: per-thread columns plus the global sync order."""
+    """The replay plan: per-thread columns plus the global sync order.
 
-    def __init__(self, trace: object) -> None:
+    Raises :class:`ValueError` for a trace no replay can follow: a tid
+    the epoch ``layout`` cannot hold, or a Spawn/Join that names no
+    other thread of the trace.
+    """
+
+    def __init__(
+        self, trace: object, layout: EpochLayout = DEFAULT_LAYOUT
+    ) -> None:
         self.cols: Dict[int, _Cols] = {
             tid: _Cols(trace, tid) for tid in trace.thread_ids()
         }
+        if self.cols and max(self.cols) > layout.max_tid:
+            raise ValueError(
+                f"thread id {max(self.cols)} does not fit the epoch "
+                f"layout's {layout.tid_bits} tid bits"
+            )
         #: (global order, tid, position, kind, argument) per sync commit,
         #: in global order; ``"Acquire:L"`` splits into kind and argument.
         self.syncs: List[Tuple[int, int, int, str, str]] = []
@@ -157,8 +169,15 @@ class _Plan:
             if kind == "BarrierWait":
                 self.episodes.setdefault(rest, []).append(t)
                 last_arrival[rest] = o
-            elif kind == "Spawn":
-                spawned.add(int(rest))
+            elif kind in ("Spawn", "Join"):
+                target = int(rest) if rest.isdecimal() else None
+                if target == t or target not in self.cols:
+                    raise ValueError(
+                        f"thread {t}'s {kind}:{rest} names no other "
+                        "thread of the trace"
+                    )
+                if kind == "Spawn":
+                    spawned.add(target)
         self.trips: Dict[int, str] = {
             o: key for key, o in last_arrival.items()
         }
@@ -210,9 +229,10 @@ class _MonitorReplay:
     the same interleaving.
 
     In batch mode a segment with at least ``BATCH_MIN`` shared accesses
-    goes to ``check_block`` as it ends; shorter ones are deferred into a
+    goes to ``check_block`` as it ends, as a one-segment block sliced
+    straight from the plan's columns; shorter ones are deferred into a
     *window* with a snapshot of their thread's vector clock, and the
-    window is joined in one ``check_window`` call — before the next long
+    window is joined in one ``check_block`` call — before the next long
     segment, at ``WINDOW_BYTES``, before any sync that might roll the
     clocks over (the reset must follow the window's writes) and at the
     end of the trace.  The syncs themselves still replay in order.
@@ -298,12 +318,13 @@ class _MonitorReplay:
                 # monitor's batch lane without materializing one tuple.
                 try:
                     monitor.check_block(
-                        tid,
+                        ((tid, monitor.detector.thread_vc(tid)),),
                         (
                             cols.kinds[start:end] == 1,
                             cols.addresses[start:end],
                             cols.sizes[start:end],
                             cols.private[start:end],
+                            np.zeros(end - start, dtype=np.int64),
                         ),
                     )
                 except RaceException:
@@ -336,7 +357,7 @@ class _MonitorReplay:
                     raise
 
     def _close_window(self) -> None:
-        """Join the pending short segments in one ``check_window``."""
+        """Join the pending short segments in one ``check_block``."""
         if not self._window:
             return
         tids, starts, ends, bases, clocks = zip(*self._window)
@@ -363,8 +384,8 @@ class _MonitorReplay:
         seg = np.arange(len(tids)).repeat(lengths)
         monitor = self.monitor
         try:
-            monitor.check_window(
-                tids, clocks, (is_write, addr, size, private, seg)
+            monitor.check_block(
+                list(zip(tids, clocks)), (is_write, addr, size, private, seg)
             )
         except RaceException:
             index = monitor.block_progress
@@ -528,7 +549,7 @@ def analyze_trace(
         raise ValueError(f"unknown analysis mode {mode!r}")
     if isinstance(trace, (str,)) or hasattr(trace, "__fspath__"):
         trace = open_trace(str(trace), salvage=salvage)
-    plan = _Plan(trace)
+    plan = _Plan(trace, layout)
     if max_threads is None:
         max_threads = max(plan.min_max_threads(), 2)
     monitor, race, position = _run_single(

@@ -252,69 +252,26 @@ class CleanMonitor(ExecutionMonitor):
     block_progress = 0
 
     def check_block(
-        self, tid: int, block: Tuple[np.ndarray, ...]
-    ) -> None:
-        """Drive one thread's in-order access block through the backend.
-
-        ``block`` is columnar ``(is_write, address, size, private)``:
-        equal-length numpy arrays holding one synchronization-free run,
-        as the offline replay slices it from its decoded trace columns.
-        Private accesses are skipped, as replay instruments shared
-        accesses only; the rest go to the backend's
-        :meth:`~repro.core.events.DetectorBackend.check_block` in one
-        call, with the thread's written-this-epoch set when the fast
-        path is on, so the backend classifies the same-epoch hits
-        itself and leaves the set as the per-event hooks would.
-        Verdicts, hit/miss counts and the detector's counters match the
-        per-event hooks; a SiteProfiler is not fed.  On a race
-        :attr:`block_progress` names the raising access.
-        """
-        w_col, a_col, s_col, p_col = block
-        kept = ~p_col
-        accesses = (w_col[kept], a_col[kept], s_col[kept])
-        n = int(accesses[1].size)
-        if not n:
-            return
-        detector = self.detector
-        written = None
-        if self._fastpath:
-            written = self._epoch_writes.get(tid)
-            if written is None:
-                written = self._epoch_writes[tid] = set()
-        done = n
-        try:
-            detector.check_block(tid, accesses, written=written)
-        except Exception:
-            # The raising access is a checked one (a miss).
-            index = detector.block_progress
-            done = index + 1
-            self.block_progress = int(np.flatnonzero(kept)[index])
-            raise
-        finally:
-            if written is not None:
-                self.fastpath_hits += detector.block_hits
-                self.fastpath_misses += done - detector.block_hits
-
-    def check_window(
         self,
-        tids: Sequence[int],
-        clocks: Sequence[VectorClock],
+        segments: Sequence[Tuple[int, VectorClock]],
         block: Tuple[np.ndarray, ...],
     ) -> None:
-        """Drive a window of short segments through the backend's
-        :meth:`~repro.core.CleanDetector.check_window`.
+        """Drive consecutive replayed segments through the detector's
+        :meth:`~repro.core.CleanDetector.check_block`.
 
         ``block`` is columnar ``(is_write, address, size, private,
-        segment)``; ``segment`` indexes ``tids`` and ``clocks``, each
-        segment's thread and its vector clock when the segment ended.
-        The offline replay's lane for runs of segments too short for
-        :meth:`check_block`: its same-epoch hits are the accesses whose
-        bytes their own segment wrote before, which is exactly what the
-        per-event hooks find when every segment starts with an empty
-        written set, as it does in replay.  Private accesses are
-        skipped, as replay's monitor instruments shared accesses only.
-        Hit and miss counts and, on a race, :attr:`block_progress` (an
-        index into ``block``) are kept as :meth:`check_block` keeps them.
+        segment)``: equal-length numpy arrays, as the offline replay
+        slices them from its decoded trace columns; ``segment`` indexes
+        ``segments``, each segment's thread and its vector clock when the
+        segment ended.  Private accesses are skipped, as replay
+        instruments shared accesses only.  The same-epoch hits are the
+        accesses whose bytes their own segment wrote before, which is
+        exactly what the per-event hooks find when every segment starts
+        with an empty written set, as it does in replay.  Verdicts,
+        hit/miss counts (kept when the fast path is on) and the
+        detector's counters match the per-event hooks; a SiteProfiler is
+        not fed.  On a race :attr:`block_progress` names the raising
+        access.
         """
         w_col, a_col, s_col, p_col, seg = block
         kept = ~p_col
@@ -325,7 +282,7 @@ class CleanMonitor(ExecutionMonitor):
         detector = self.detector
         done = n
         try:
-            detector.check_window(tids, clocks, accesses)
+            detector.check_block(segments, accesses)
         except Exception:
             # The raising access is a checked one (a miss).
             index = detector.block_progress
@@ -333,8 +290,9 @@ class CleanMonitor(ExecutionMonitor):
             self.block_progress = int(np.flatnonzero(kept)[index])
             raise
         finally:
-            self.fastpath_hits += detector.block_hits
-            self.fastpath_misses += done - detector.block_hits
+            if self._fastpath:
+                self.fastpath_hits += detector.block_hits
+                self.fastpath_misses += done - detector.block_hits
 
     def _check_one(
         self, tid: int, is_write: bool, address: int, size: int

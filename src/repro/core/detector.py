@@ -395,199 +395,54 @@ class CleanDetector(DetectorBackend):
     #: Below this many accesses the scalar loop beats the numpy setup cost.
     BATCH_MIN = 16
 
+    #: After :meth:`check_block` raises: the index of the raising access.
+    block_progress = 0
+
+    #: After :meth:`check_block` returns or raises: how many of the
+    #: accesses it completed were same-epoch hits (accounted as
+    #: :meth:`note_same_epoch` accounts them, never checked).
+    block_hits = 0
+
     def check_block(
         self,
-        tid: int,
-        block: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        written: Optional[Set[int]] = None,
-    ) -> None:
-        """Vectorized batch check of one thread's in-order access block.
-
-        ``block`` is columnar ``(is_write, address, size)``.  Semantics
-        are *identical* to the scalar loop of
-        :meth:`DetectorBackend.check_block` — same verdicts, same
-        exception at the same access, figure-exact ``stats`` and shadow
-        counters and, given the adapter's ``written`` set, the same
-        same-epoch hits and the same set afterwards — but the race-free
-        majority is resolved in one byte expansion, keyed by address
-        into one scratch table.  Per byte of the block:
-
-        * **hits** — an access is a same-epoch hit iff each of its bytes
-          was in ``written`` before the block or covered by an earlier
-          write of the block (a hit write's bytes are already in the
-          set, so any earlier write counts);
-        * **the effective-epoch overlay** — the only metadata mutation
-          inside the block is this thread's *checked* (non-hit) writes
-          installing its current epoch, so byte ``b`` at access ``i``
-          carries that epoch if an earlier checked write covered ``b``,
-          and its pre-block epoch otherwise.  Every Figure-2 comparison
-          then happens in one vectorized pass.
-
-        The first checked access whose predicate fires (the conflict
-        minority) is re-run through the genuine scalar path, which
-        raises with the exact counters and exception the loop would
-        have produced; the remaining suffix is re-screened the same way.
-        """
-        n = int(block[1].size)
-        self.block_progress = 0
-        if (
-            n < self.BATCH_MIN
-            or not self.vectorized
-            or not hasattr(self.shadow, "gather")
-        ):
-            return DetectorBackend.check_block(self, tid, block, written)
-
-        thread = self._thread(tid)
-        new_epoch = thread.vc.element(tid)
-
-        is_write = np.asarray(block[0], dtype=bool)
-        addr = np.asarray(block[1], dtype=np.int64)
-        size = np.asarray(block[2], dtype=np.int64)
-        if int(size.min()) < 1:
-            return DetectorBackend.check_block(self, tid, block, written)
-
-        seg_starts, acc_idx, baddr = _expand(addr, size)
-        total = int(baddr.size)
-        byte_is_write = is_write[acc_idx]
-
-        # Key every byte into one scratch table: by its offset in the
-        # block's address window, or — for a sparse block — by its rank
-        # among the block's distinct bytes.
-        lo = int(baddr.min())
-        span = int(baddr.max()) - lo + 1
-        if span <= _DENSE_SPAN:
-            key = baddr - lo
-        else:
-            distinct, key = np.unique(baddr, return_inverse=True)
-            span = distinct.size
-        table = np.empty(span, dtype=np.int64)
-
-        def first_access(mask: np.ndarray) -> np.ndarray:
-            """Per byte: the first access of ``mask`` covering it, or n."""
-            table[key] = n
-            np.minimum.at(table, key[mask], acc_idx[mask])
-            return table[key]
-
-        # Same-epoch hits, and the first checked write of every byte.  A
-        # hit covered by this block's writes alone carries the thread's
-        # epoch in the overlay — uniform, race-free, never updated — and
-        # is never the first write of a byte; only hits on bytes from
-        # the pre-block set (``prior``) need the corrections below.
-        first = first_access(byte_is_write)
-        overlaid = first < acc_idx
-        hit = None
-        if written is not None:
-            covered = overlaid
-            if written:
-                covered = covered | np.fromiter(
-                    (b in written for b in baddr.tolist()),
-                    dtype=bool,
-                    count=total,
-                )
-            hit = np.logical_and.reduceat(covered, seg_starts)
-            if not hit.any():
-                hit = None
-        prior = hit is not None and bool(written)
-        if prior:
-            first = first_access(byte_is_write & ~hit[acc_idx])
-            overlaid = first < acc_idx
-        eff = np.where(
-            overlaid, np.uint32(new_epoch), self.shadow.gather(baddr)
-        )
-
-        # The Figure-2 predicate, per byte, in one comparison: vector
-        # clock elements are epoch-encoded (Section 4.1), so a byte races
-        # iff its epoch exceeds the element of its writer's tid.  Epochs
-        # whose tid bits fall outside the clock compare against -1 and
-        # are re-checked by the scalar path.
-        vc = np.array([*thread.vc, -1], dtype=np.int64)
-        writer = np.minimum(
-            eff >> np.uint32(self.layout.clock_bits), self.max_threads
-        )
-        racy_acc = np.logical_or.reduceat(eff > vc[writer], seg_starts)
-        if prior:
-            racy_acc &= ~hit
-        racy = racy_acc.nonzero()[0]
-        danger = int(racy[0]) if racy.size else n
-
-        n_hits = 0
-        if danger > 0:
-            prefix = int(seg_starts[danger]) if danger < n else total
-            n_hits = self._account(
-                danger, prefix, is_write, size, seg_starts, acc_idx,
-                byte_is_write, eff, np.uint32(new_epoch), hit,
-            )
-            installed = baddr[:prefix][first[:prefix] == acc_idx[:prefix]]
-            self.shadow.scatter(installed, new_epoch)
-            if written is not None:
-                written.update(installed.tolist())
-        self.block_hits = n_hits
-
-        if danger < n:
-            # Conflict minority: the genuine scalar path reproduces the
-            # exact counter trail and exception the loop would have.
-            a, s = int(addr[danger]), int(size[danger])
-            try:
-                if is_write[danger]:
-                    self.check_write(tid, a, s)
-                else:
-                    self.check_read(tid, a, s)
-            except Exception:
-                self.block_progress = danger
-                raise
-            if written is not None and is_write[danger]:
-                written.update(range(a, a + s))
-            # Only reached when the predicate was conservative (foreign
-            # tid); re-screen the rest of the block.
-            rest = slice(danger + 1, n)
-            try:
-                self.check_block(
-                    tid,
-                    (is_write[rest], addr[rest], size[rest]),
-                    written=written,
-                )
-            except Exception:
-                self.block_progress += danger + 1
-                raise
-            finally:
-                self.block_hits += n_hits
-
-    def check_window(
-        self,
-        tids: Sequence[int],
-        clocks: Sequence[VectorClock],
+        segments: Sequence[Tuple[int, VectorClock]],
         block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
-        """Batch check of a *window*: consecutive short segments of any
-        threads, in replay order, each against the vector clock its
-        thread held when the segment ended.
+        """Batch check of consecutive replayed segments, in replay order.
 
+        ``segments`` holds each segment's ``(tid, vector clock)``: its
+        thread and the clock that thread held when the segment ended.
         ``block`` is columnar ``(is_write, address, size, segment)``;
-        ``segment`` (non-decreasing) numbers each access's segment and
-        indexes ``tids`` and ``clocks`` — the segment's thread and a
-        snapshot of its vector clock.  Offline replay only: there, a
-        thread's written-this-epoch set is empty at every segment start,
-        so the window needs none.
+        ``segment`` (non-decreasing) indexes ``segments``.  Offline
+        replay only: there a sync commit ends every segment, so each
+        starts with an empty written-this-epoch set.
 
         Semantics are identical to the scalar hook loop over the
         segments in order — same verdicts, same exception at the same
         access, figure-exact ``stats`` and shadow counters; afterwards
         :attr:`block_hits` counts the same-epoch hits and, on a race,
         :attr:`block_progress` indexes the raising access.  CLEAN keeps
-        only a last-writer epoch per byte, so the whole window is one
-        join: a stable sort keyed by (byte, window position) finds each
-        byte's last earlier write in the window, whose segment's epoch
-        is the byte's effective epoch (bytes no earlier write covers
-        read the shadow).  An access is a same-epoch hit iff each of its
-        bytes was last written by its own segment.  Every Figure-2
-        comparison then runs in one vectorized pass against the
-        accessing segment's recorded clock.
+        only a last-writer epoch per byte, so the whole block is one
+        join: each byte's last earlier write in the block leaves its
+        segment's epoch as the byte's effective epoch (bytes no earlier
+        write covers read the shadow), and an access is a same-epoch hit
+        iff its own segment wrote each of its bytes before.  The join
+        takes one of two ways:
 
-        The clean prefix before the first flagged segment commits (its
-        counters and its final writers); the flagged segment re-runs
-        through the genuine scalar path, which raises with the exact
-        counters and exception the loop would have, and the rest of the
-        window is re-screened the same way.
+        * **one segment** — a scratch table keyed by address offset (or,
+          for a block spanning more than ``_DENSE_SPAN`` addresses, by
+          distinct-byte rank) finds each byte's first write; every later
+          access of the byte sees the segment's own epoch;
+        * **several segments** — a stable sort by (byte, block position)
+          finds each byte's last earlier write.
+
+        Every Figure-2 comparison then runs in one vectorized pass
+        against the accessing segment's clock.  The clean prefix before
+        the first flagged access commits (its counters and its final
+        writers); the flagged access re-runs through the genuine scalar
+        path, its segment's committed accesses seeding the written set,
+        and raises with the exact counters and exception the loop would
+        have; the rest of the block is re-screened the same way.
         """
         is_write, addr, size, seg = block
         n = int(addr.size)
@@ -599,59 +454,83 @@ class CleanDetector(DetectorBackend):
             or not hasattr(self.shadow, "gather")
             or int(size.min()) < 1
         ):
-            return self._replay_segments(tids, clocks, block)
+            return self._replay_segments(segments, block)
 
         starts, acc_idx, baddr = _expand(addr, size)
         total = int(baddr.size)
         byte_is_write = is_write[acc_idx]
-        byte_seg = seg[acc_idx]
+        # Each segment's clock as a row of epoch-encoded elements, plus a
+        # -1 column for epochs whose tid bits fall outside the clock.
         width = self.max_threads
-        rows = np.full((len(clocks), width + 1), -1, dtype=np.int64)
-        rows[:, :width] = np.fromiter(
-            chain.from_iterable(clocks),
-            dtype=np.int64,
-            count=len(clocks) * width,
-        ).reshape(-1, width)
-        epochs = rows[np.arange(len(tids)), tids].astype(np.uint32)
-
-        # The join.  In (address, window position) order, the last write
-        # before each byte is a running max of write positions; it is
-        # an earlier write to the same byte iff it lies at or after the
-        # start of the byte's address group.
-        order = np.argsort(baddr, kind="stable")
-        s_addr = baddr[order]
-        s_seg = byte_seg[order]
-        s_write = byte_is_write[order]
-        pos = np.arange(total)
-        prev = np.empty(total, dtype=np.int64)
-        prev[0] = -1
-        prev[1:] = np.maximum.accumulate(np.where(s_write, pos, -1))[:-1]
-        group = np.empty(total, dtype=bool)
-        group[0] = True
-        np.not_equal(s_addr[1:], s_addr[:-1], out=group[1:])
-        joined = prev >= np.maximum.accumulate(np.where(group, pos, 0))
-        writer = s_seg[prev]  # meaningful where ``joined`` only
-        s_eff = np.where(joined, epochs[writer], self.shadow.gather(s_addr))
-        eff = np.empty_like(s_eff)
-        eff[order] = s_eff
-        own = np.empty(total, dtype=bool)
-        own[order] = joined & (writer == s_seg)
+        if len(segments) == 1:
+            tid, vc = segments[0]
+            rows = np.array([[*vc, -1]], dtype=np.int64)
+            epochs = np.array([vc.element(tid)], dtype=np.uint32)
+            byte_seg = 0
+            lo = int(baddr.min())
+            span = int(baddr.max()) - lo + 1
+            if span <= _DENSE_SPAN:
+                key = baddr - lo
+            else:
+                distinct, key = np.unique(baddr, return_inverse=True)
+                span = distinct.size
+            table = np.empty(span, dtype=np.int64)
+            table[key] = n
+            np.minimum.at(table, key[byte_is_write], acc_idx[byte_is_write])
+            first = table[key]
+            own = first < acc_idx
+            eff = np.where(own, epochs[0], self.shadow.gather(baddr))
+        else:
+            rows = np.full((len(segments), width + 1), -1, dtype=np.int64)
+            rows[:, :width] = np.fromiter(
+                chain.from_iterable(vc for _tid, vc in segments),
+                dtype=np.int64,
+                count=len(segments) * width,
+            ).reshape(-1, width)
+            epochs = rows[
+                np.arange(len(segments)), [tid for tid, _vc in segments]
+            ].astype(np.uint32)
+            # In (address, block position) order, the last write before
+            # each byte is a running max of write positions; it is an
+            # earlier write to the same byte iff it lies at or after the
+            # start of the byte's address group.
+            byte_seg = seg[acc_idx]
+            order = np.argsort(baddr, kind="stable")
+            s_addr = baddr[order]
+            s_seg = byte_seg[order]
+            s_write = byte_is_write[order]
+            pos = np.arange(total)
+            prev = np.empty(total, dtype=np.int64)
+            prev[0] = -1
+            prev[1:] = np.maximum.accumulate(np.where(s_write, pos, -1))[:-1]
+            group = np.empty(total, dtype=bool)
+            group[0] = True
+            np.not_equal(s_addr[1:], s_addr[:-1], out=group[1:])
+            joined = prev >= np.maximum.accumulate(np.where(group, pos, 0))
+            writer = s_seg[prev]  # meaningful where ``joined`` only
+            s_eff = np.where(
+                joined, epochs[writer], self.shadow.gather(s_addr)
+            )
+            eff = np.empty_like(s_eff)
+            eff[order] = s_eff
+            own = np.empty(total, dtype=bool)
+            own[order] = joined & (writer == s_seg)
         hit = np.logical_and.reduceat(own, starts)
 
-        # The Figure-2 predicate as in :meth:`check_block`, each byte
-        # against its own segment's recorded clock (the extra -1 column
-        # takes foreign tids).  A hit's bytes carry its segment's epoch,
-        # so a hit never fires.
-        writer_tid = np.minimum(eff >> np.uint32(self.layout.clock_bits), width)
+        # The Figure-2 predicate, per byte, in one comparison: vector
+        # clock elements are epoch-encoded (Section 4.1), so a byte races
+        # iff its epoch exceeds its segment's clock element for the
+        # epoch's tid.  Epochs whose tid bits fall outside the clock
+        # compare against the -1 column and are re-checked by the scalar
+        # path.  A hit's bytes carry its segment's epoch, so a hit never
+        # fires.
+        writer_tid = np.minimum(
+            eff >> np.uint32(self.layout.clock_bits), width
+        )
         racy = np.logical_or.reduceat(
             eff > rows[byte_seg, writer_tid], starts
         ).nonzero()[0]
-        if racy.size:
-            limit = int(seg[racy[0]])
-            done = int(np.searchsorted(seg, limit))
-        else:
-            limit = int(seg[-1]) + 1
-            done = n
+        done = int(racy[0]) if racy.size else n
 
         hits = 0
         if done > 0:
@@ -662,28 +541,39 @@ class CleanDetector(DetectorBackend):
             )
             # Each byte's last write in the prefix leaves its segment's
             # epoch behind.
-            final = s_write & (s_seg < limit)
-            w_addr = s_addr[final]
-            if w_addr.size:
-                last = np.empty(w_addr.size, dtype=bool)
-                last[-1] = True
-                np.not_equal(w_addr[1:], w_addr[:-1], out=last[:-1])
-                self.shadow.scatter(w_addr[last], epochs[s_seg[final][last]])
+            if len(segments) == 1:
+                self.shadow.scatter(
+                    baddr[:prefix][first[:prefix] == acc_idx[:prefix]],
+                    epochs[0],
+                )
+            else:
+                final = s_write & (order < prefix)
+                w_addr = s_addr[final]
+                if w_addr.size:
+                    last = np.empty(w_addr.size, dtype=bool)
+                    last[-1] = True
+                    np.not_equal(w_addr[1:], w_addr[:-1], out=last[:-1])
+                    self.shadow.scatter(
+                        w_addr[last], epochs[s_seg[final][last]]
+                    )
         self.block_hits = hits
         if done == n:
             return
 
-        # The flagged segment through the genuine scalar path; only a
+        # The flagged access through the genuine scalar path, after its
+        # segment's committed accesses seed the written set; only a
         # conservative flag (foreign tid) gets past it.
-        end = int(np.searchsorted(seg, limit, side="right"))
-        for lo, hi, check in (
-            (done, end, self._replay_segments),
-            (end, n, self.check_window),
-        ):
+        begin = int(np.searchsorted(seg, seg[done]))
+        end = int(np.searchsorted(seg, seg[done], side="right"))
+        for lo, hi in ((begin, end), (end, n)):
             if lo == hi:
                 continue
+            part = tuple(col[lo:hi] for col in block)
             try:
-                check(tids, clocks, tuple(col[lo:hi] for col in block))
+                if lo == begin:
+                    self._replay_segments(segments, part, done - begin)
+                else:
+                    self.check_block(segments, part)
             except Exception:
                 self.block_progress += lo
                 raise
@@ -693,13 +583,15 @@ class CleanDetector(DetectorBackend):
 
     def _replay_segments(
         self,
-        tids: Sequence[int],
-        clocks: Sequence[VectorClock],
+        segments: Sequence[Tuple[int, VectorClock]],
         block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        skip: int = 0,
     ) -> None:
-        """The scalar hook loop over a window's segments: a same-epoch
+        """The scalar hook loop over a block's segments: a same-epoch
         hit iff the segment itself wrote every byte before, every other
-        access through the Figure-2 path against the recorded clock."""
+        access through the Figure-2 path against the segment's clock.
+        The first ``skip`` accesses, all of the first segment, already
+        ran: they only seed its written set."""
         is_write, addr, size, seg = (col.tolist() for col in block)
         hits = index = 0
         current = -1
@@ -708,10 +600,13 @@ class CleanDetector(DetectorBackend):
             for index, s in enumerate(seg):
                 if s != current:
                     current = s
-                    thread = ThreadState(tids[s], clocks[s])
+                    thread = ThreadState(*segments[s])
                     written = set()
                 address, n = addr[index], size[index]
-                if (
+                if index < skip:
+                    if is_write[index]:
+                        written.update(range(address, address + n))
+                elif (
                     address in written
                     if n == 1
                     else all(address + o in written for o in range(n))
@@ -739,7 +634,7 @@ class CleanDetector(DetectorBackend):
         byte_is_write: np.ndarray,
         eff: np.ndarray,
         own: object,
-        hit: Optional[np.ndarray],
+        hit: np.ndarray,
     ) -> int:
         """Add the counter trail the scalar loop leaves for the first
         ``done`` accesses (``prefix`` bytes) of an expanded run.
@@ -767,16 +662,13 @@ class CleanDetector(DetectorBackend):
         if isinstance(own, np.ndarray):
             own = own[:prefix]
         updated = byte_is_write[:prefix] & (eff != own)
-        checked_bytes = prefix
-        n_hits = 0
-        if hit is not None:
-            # A hit is accounted as note_same_epoch does: one epoch for
-            # all its bytes, no shadow traffic.
-            hit = hit[:done]
-            uniform |= hit
-            updated &= ~hit[acc_idx[:prefix]]
-            n_hits = int(np.count_nonzero(hit))
-            checked_bytes -= int(psz[hit].sum())
+        # A hit is accounted as note_same_epoch does: one epoch for all
+        # its bytes, no shadow traffic.
+        hit = hit[:done]
+        uniform |= hit
+        updated &= ~hit[acc_idx[:prefix]]
+        n_hits = int(np.count_nonzero(hit))
+        checked_bytes = prefix - int(psz[hit].sum())
         one = multi & uniform
         n_one = int(np.count_nonzero(one))
         stats.multibyte_uniform_epoch += n_one

@@ -24,7 +24,7 @@ vocabulary:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from .epoch import DEFAULT_LAYOUT, EpochLayout
 from .exceptions import MetadataError, TooManyThreadsError
@@ -128,20 +128,6 @@ class DetectorBackend:
     #: change verdicts on such accesses may set this.
     same_epoch_filter = False
 
-    #: Blocks shorter than this gain nothing from :meth:`check_block`
-    #: over a per-access loop; batch adapters loop them themselves.
-    BATCH_MIN = 1
-
-    #: After :meth:`check_block` raises: how many leading accesses of
-    #: that block completed before the raising one.  Batch adapters use
-    #: it to keep their own per-access accounting exact across a race.
-    block_progress = 0
-
-    #: After :meth:`check_block` with a ``written`` set returns or
-    #: raises: how many of the accesses it completed were same-epoch
-    #: hits (accounted through :meth:`note_same_epoch`, never checked).
-    block_hits = 0
-
     # -- thread lifecycle ---------------------------------------------------
 
     def spawn_root(self) -> int:
@@ -186,55 +172,6 @@ class DetectorBackend:
         recorded, so cost models and figures are invariant under the
         filter.  The default is a no-op (and the filter stays off).
         """
-
-    def check_block(
-        self,
-        tid: int,
-        block: Tuple[Any, Any, Any],
-        written: Optional[Set[int]] = None,
-    ) -> None:
-        """Race-check a batch of same-thread accesses in program order.
-
-        ``block`` is columnar: ``(is_write, address, size)``, three
-        equal-length numpy arrays — typically one synchronization-free
-        region's worth of accesses.  The default simply loops over
-        :meth:`check_read` / :meth:`check_write`, so every backend is
-        batch-correct for free; engines with a vectorized batch path
-        override this.  Semantics are identical to the scalar loop:
-        checks happen in order and the first race raises out of the
-        block.
-
-        ``written`` — only passed to backends that declare
-        ``same_epoch_filter`` — is the adapter's set of bytes ``tid``
-        wrote in its current epoch.  An access wholly inside it is a
-        same-epoch hit: accounted via :meth:`note_same_epoch` instead of
-        checked.  Every checked write adds its bytes to the set, so the
-        set leaves the block exactly as the per-access adapter hooks
-        would have left it; :attr:`block_hits` counts the hits.
-        """
-        check_read = self.check_read
-        check_write = self.check_write
-        note = self.note_same_epoch
-        index = hits = 0
-        items = zip(*(column.tolist() for column in block))
-        try:
-            for index, (is_write, address, size) in enumerate(items):
-                if written is not None and (
-                    address in written
-                    if size == 1
-                    else all(address + o in written for o in range(size))
-                ):
-                    hits += 1
-                    note(tid, address, size, is_read=not is_write)
-                elif not is_write:
-                    check_read(tid, address, size)
-                else:
-                    check_write(tid, address, size)
-                    if written is not None:
-                        written.update(range(address, address + size))
-        finally:
-            self.block_progress = index
-            self.block_hits = hits
 
 
 class VectorClockBackend(DetectorBackend):

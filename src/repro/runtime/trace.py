@@ -55,6 +55,7 @@ __all__ = [
     "WRITE",
     "SYNC",
     "TRACE_MAGIC",
+    "ADDRESS_LIMIT",
     "MAX_ACCESS_BYTES",
 ]
 
@@ -101,6 +102,9 @@ _MAX_NAME_TABLE = 1 << 20
 #: of any bundled workload.  Replay expands every access byte by byte,
 #: so an unchecked ``size`` would let one record claim gigabytes.
 MAX_ACCESS_BYTES = 64
+#: Every byte a trace's access touches lies below this address, so the
+#: replay's signed 64-bit address columns hold each one exactly.
+ADDRESS_LIMIT = 1 << 63
 
 #: Numpy view of the packed record stream: one field per :data:`_RECORD`
 #: column, no padding (``itemsize == _RECORD.size``), so a whole chunk
@@ -229,6 +233,14 @@ def _check_access_size(size: int) -> None:
         )
 
 
+def _check_access(address: int, size: int) -> None:
+    _check_access_size(size)
+    if address > ADDRESS_LIMIT - size:
+        raise ValueError(
+            f"access of {size} bytes at {address:#x} reaches past 2**63"
+        )
+
+
 def _corrupt(path: object, index: int, offset: int, detail: str) -> ValueError:
     """The uniform error for any damaged binary trace data."""
     return ValueError(
@@ -264,7 +276,7 @@ def _encode_chunk(
         else:
             idx = _NO_NAME
         if e.kind != SYNC:
-            _check_access_size(e.size)
+            _check_access(e.address, e.size)
         code = _KIND_CODE[e.kind] | (_PRIVATE_BIT if e.private else 0)
         records += _RECORD.pack(code, e.address, e.size, e.gap, idx)
     table = bytearray(_NAME_LEN.pack(len(names)))
@@ -301,7 +313,7 @@ def _decode_payload(payload: bytes, n_events: int) -> List[TraceEvent]:
         if kind is None:
             raise ValueError(f"unknown event kind code {code & ~_PRIVATE_BIT}")
         if kind != SYNC:
-            _check_access_size(size)
+            _check_access(address, size)
         events.append(
             TraceEvent(
                 kind=kind,
@@ -458,10 +470,20 @@ def _payload_to_chunk(tid: int, payload: bytes, n_events: int) -> TraceChunk:
     kinds = codes & ~np.uint8(_PRIVATE_BIT)
     if n_events and int(kinds.max()) > max(_CODE_KIND):
         raise ValueError(f"unknown event kind code {int(kinds.max())}")
-    sizes = arr["size"][kinds != _KIND_CODE[SYNC]]
+    memory = kinds != _KIND_CODE[SYNC]
+    sizes = arr["size"][memory]
     if sizes.size:
         _check_access_size(int(sizes.min()))
         _check_access_size(int(sizes.max()))
+        # Sync records hold small commit orders here, so one max clears
+        # the usual chunk.
+        addresses = arr["address"]
+        if int(addresses.max()) > ADDRESS_LIMIT - MAX_ACCESS_BYTES:
+            latest = np.uint64(ADDRESS_LIMIT) - arr["size"]
+            over = memory & (addresses > latest)
+            if over.any():
+                first = int(over.argmax())
+                _check_access(int(addresses[first]), int(arr["size"][first]))
     name_idx = arr["name"].copy()
     named = name_idx[name_idx != _NO_NAME]
     if named.size and int(named.max()) >= len(names):

@@ -1,30 +1,31 @@
-"""The one-pass batch lane against the per-access loop it replaces.
+"""The one-segment side of the batch kernel against the per-access loop.
 
-``CleanMonitor.check_block`` hands a whole synchronization-free block,
-plus the thread's written-this-epoch set, to
-``CleanDetector.check_block``, which classifies same-epoch hits, builds
-the effective-epoch overlay and checks every access in one vectorized
-pass.  These tests pin that pass to the scalar loop
-(``CleanMonitor._check_one`` per access):
+``CleanMonitor.check_block`` hands a whole synchronization-free segment
+to ``CleanDetector.check_block``, which, for a one-segment block, finds
+each byte's first write in a table keyed by address, classifies the
+same-epoch hits and checks every access in one vectorized pass.  A
+replayed segment always starts with an empty written-this-epoch set.
+These tests pin that pass to the scalar loop (``CleanMonitor._check_one``
+per access):
 
 1. **Block property** — random blocks of 16-400 accesses (so they enter
    the vector lane) over overlapping 1/2/4/8-byte accesses, with private
-   accesses, a pre-block written set (partly stale), foreign epochs from
-   ordered and unordered threads, and optionally half the addresses far
-   away (sparse blocks, spilled shadow): same exception, counters,
-   shadow and written set.
-2. **Analysis level** — recorded benchmark traces whose blocks reach the
-   lane: scalar and batch analysis agree on verdict, race (including its
-   position) and counters.
+   accesses, the thread's own writes from an earlier epoch, foreign
+   epochs from ordered and unordered threads, and optionally half the
+   addresses far away (sparse blocks, spilled shadow): same exception,
+   counters and shadow.
+2. **Analysis level** — recorded benchmark traces: scalar and batch
+   analysis agree on verdict, race (including its position) and
+   counters, and the one-segment side ran.
 3. **Rollover** — a detector reset fired by another thread's release
-   invalidates every written set, on both lanes.
+   ends every same-epoch hit, on both lanes.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_trace
@@ -53,16 +54,12 @@ accesses = st.tuples(
 @st.composite
 def scenarios(draw):
     return {
+        # T0 writes before it spawns T1 and T2: its own earlier epoch.
+        "earlier": draw(writes),
         # T1 writes, then releases a lock T0 (and T2) acquire: ordered.
         "synced": draw(writes),
         # T2 writes after that acquire, unordered with T0.
         "unsynced": draw(st.lists(st.tuples(addresses, sizes), max_size=2)),
-        # T0 writes before the block: its written-this-epoch set.
-        "pre_block": draw(st.lists(st.tuples(addresses, sizes), min_size=1,
-                                   max_size=6)),
-        # Bytes left in T0's set although their epoch is not T0's: the
-        # lane must skip them exactly as the scalar loop does.
-        "stale": draw(st.lists(st.tuples(addresses, sizes), max_size=6)),
         "block": draw(st.lists(accesses, min_size=16, max_size=400)),
         "far": draw(st.booleans()),
     }
@@ -79,6 +76,8 @@ def build(scenario):
     monitor = CleanMonitor(detector=detector, max_threads=4)
     monitor.sites = None
     monitor.on_thread_start(0, None)
+    for address, size in scenario["earlier"]:
+        monitor._check_one(0, True, placed(scenario, address), size)
     for child in (1, 2):
         monitor.on_thread_start(child, 0)
         monitor.on_spawn(0, child)
@@ -89,33 +88,27 @@ def build(scenario):
     for tid in (2, 0):
         monitor.on_acquire(tid, "L")
         monitor.on_sync_commit(tid, None)
-    unsynced = set()
     for address, size in scenario["unsynced"]:
-        address = placed(scenario, address)
-        monitor._check_one(2, True, address, size)
-        unsynced.update(range(address, address + size))
-    for address, size in scenario["pre_block"]:
-        address = placed(scenario, address)
-        if unsynced.isdisjoint(range(address, address + size)):
-            monitor._check_one(0, True, address, size)
-    for address, size in scenario["stale"]:
-        address = placed(scenario, address)
-        monitor._epoch_writes.setdefault(0, set()).update(
-            range(address, address + size)
-        )
+        monitor._check_one(2, True, placed(scenario, address), size)
     return monitor
 
 
 def columns(block):
     """A list of ``(is_write, address, size, private)`` accesses in the
-    columnar form ``CleanMonitor.check_block`` takes."""
+    columnar one-segment form ``CleanMonitor.check_block`` takes."""
     is_write, address, size, private = zip(*block)
     return (
         np.array(is_write, dtype=bool),
         np.array(address, dtype=np.int64),
         np.array(size, dtype=np.int64),
         np.array(private, dtype=bool),
+        np.zeros(len(block), dtype=np.int64),
     )
+
+
+def segment(monitor, tid):
+    """``tid``'s open segment, as ``check_block``'s segment list."""
+    return ((tid, monitor.detector.thread_vc(tid)),)
 
 
 def outcome(monitor, race, position):
@@ -132,7 +125,6 @@ def outcome(monitor, race, position):
         "loads": detector.shadow.loads,
         "stores": detector.shadow.stores,
         "shadow": sorted(detector.shadow.items()),
-        "written": sorted(monitor._epoch_writes.get(0, ())),
     }
 
 
@@ -145,11 +137,10 @@ class TestBlockProperty:
             for is_write, address, size, private in scenario["block"]
         ]
         batch, scalar = build(scenario), build(scenario)
-        assume(batch._epoch_writes.get(0))  # non-empty pre-block set
 
         race = position = None
         try:
-            batch.check_block(0, columns(block))
+            batch.check_block(segment(batch, 0), columns(block))
         except RaceException as exc:
             race, position = exc, batch.block_progress
         expected = outcome(batch, race, position)
@@ -167,17 +158,20 @@ class TestBlockProperty:
 
 
 def _count_lane(monkeypatch):
-    """Record, per ``CleanDetector.check_block`` call, whether it entered
-    the vector lane and whether it raised."""
+    """Record, per ``CleanDetector.check_block`` call, which join side it
+    took (``"one"`` or ``"several"`` segments, ``None`` below
+    ``BATCH_MIN``) and whether it raised."""
     calls = []
     original = CleanDetector.check_block
 
-    def counting(self, tid, block, written=None):
-        n = len(block[1])
-        call = {"lane": n >= self.BATCH_MIN, "raised": False}
+    def counting(self, segments, block):
+        side = None
+        if len(block[1]) >= self.BATCH_MIN:
+            side = "one" if len(segments) == 1 else "several"
+        call = {"side": side, "raised": False}
         calls.append(call)
         try:
-            return original(self, tid, block, written=written)
+            return original(self, segments, block)
         except RaceException:
             call["raised"] = True
             raise
@@ -198,14 +192,16 @@ class TestAnalysisLane:
         calls = _count_lane(monkeypatch)
         batch = analyze_trace(trace, mode="batch")
 
-        assert any(call["lane"] for call in calls)
+        assert any(call["side"] == "one" for call in calls)
         assert batch.racy == scalar.racy == racy
         assert batch.race == scalar.race
         assert batch.counters == scalar.counters
         if racy:
             # The race surfaced inside the vector lane, and the lane
             # still reports the raising access's trace position.
-            assert any(call["lane"] and call["raised"] for call in calls)
+            assert any(
+                call["side"] == "one" and call["raised"] for call in calls
+            )
             assert batch.race["position"] is not None
 
 
@@ -237,7 +233,7 @@ class TestRolloverInvalidatesWrittenSets:
                 # The write leads a block long enough for the vector lane.
                 block = [(True, X, 8, False)]
                 block += [(False, X, 8, False)] * (detector.BATCH_MIN - 1)
-                monitor.check_block(tid, columns(block))
+                monitor.check_block(segment(monitor, tid), columns(block))
 
         write(1)
         for i in range(10):

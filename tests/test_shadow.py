@@ -1,16 +1,22 @@
 """Unit tests for the epoch shadow-memory stores."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.shadow import DenseShadow, SparseShadow
+from repro.core.shadow import DenseShadow, FlatShadow, SparseShadow
 
 
-@pytest.fixture(params=["sparse", "dense"])
+@pytest.fixture(params=["sparse", "dense", "flat", "flat-spill"])
 def shadow(request):
     if request.param == "sparse":
         return SparseShadow()
+    if request.param == "flat":
+        return FlatShadow()
+    if request.param == "flat-spill":
+        # Addresses from 64 up live in the spill map.
+        return FlatShadow(capacity=8, window=64)
     return DenseShadow(base=0, size=4096)
 
 
@@ -65,6 +71,26 @@ class TestCommonBehaviour:
         shadow.store(3, 7)
         shadow.store(9, 8)
         assert dict(shadow.items()) == {3: 7, 9: 8}
+
+
+class TestFlatBatchSurface:
+    """``gather``/``scatter`` agree with the scalar surface on both sides
+    of the window and leave the traffic counters alone."""
+
+    def test_scatter_then_gather_across_the_window(self):
+        shadow = FlatShadow(capacity=8, window=64)
+        addresses = np.array([3, 40, 63, 64, 1000], dtype=np.int64)
+        shadow.scatter(addresses, 9)
+        shadow.scatter(addresses[:2], np.array([5, 6], dtype=np.uint32))
+        assert shadow.gather(addresses).tolist() == [5, 6, 9, 9, 9]
+        assert [shadow.peek(int(a)) for a in addresses] == [5, 6, 9, 9, 9]
+        assert shadow.loads == shadow.stores == 0
+
+    def test_gather_of_untouched_bytes_is_zero(self):
+        shadow = FlatShadow(capacity=8, window=64)
+        untouched = np.array([2, 50, 70], dtype=np.int64)
+        assert shadow.gather(untouched).tolist() == [0, 0, 0]
+        assert shadow.gather(np.zeros(0, dtype=np.int64)).size == 0
 
 
 class TestDenseBounds:

@@ -1,21 +1,25 @@
-"""The window lane against the per-access loop it replaces.
+"""The several-segment side of the batch kernel against the per-access
+loop it replaces.
 
 In batch analysis a segment (one thread's accesses up to its next sync)
 with fewer than ``BATCH_MIN`` shared accesses is deferred into a window
-with a snapshot of its thread's vector clock; ``CleanMonitor.check_window``
+with a snapshot of its thread's vector clock; ``CleanMonitor.check_block``
 then joins the whole window against the recorded clocks at once.  These
 tests pin that lane to the scalar hooks:
 
 1. **Analysis property** — random programs (3-4 threads, race-free and
    racy, epoch layouts small enough that clocks roll over): batch and
    scalar analysis agree on verdict, race payload including its
-   position, and every ``clean.*`` counter, and the window lane ran.
+   position, and every ``clean.*`` counter, and the kernel ran.
 2. **Kernel property** — random windows over a shadow seeded by ordered
    and unordered writers (and epochs whose expanded bit makes the
-   vectorized predicate conservative): ``check_window`` leaves the same
+   vectorized predicate conservative): ``check_block`` leaves the same
    exception, counters and shadow as the per-event hooks run against
    each segment's recorded clock.
-3. **Rollover** — the window closes before a sync that may reset every
+3. **Oracle** — random racy programs: scalar and batch analysis report
+   a race iff the full vector-clock detector, replayed in the same
+   order, records a WAW or RAW race, and name one it recorded.
+4. **Rollover** — the window closes before a sync that may reset every
    epoch, including the fork of a reused tid no live clock announces.
 """
 
@@ -23,10 +27,12 @@ import dataclasses
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import analyze_trace
+from repro.analysis import _MonitorReplay, _Plan, analyze_trace
+from repro.baselines.vcdetector import VcRaceDetector
 from repro.clean import CleanMonitor
 from repro.core import CleanDetector
 from repro.core.epoch import EpochLayout
@@ -49,16 +55,17 @@ def record_only(program, sseed):
     return recorder.trace
 
 
-def _count_windows():
-    """Patch ``CleanDetector.check_window`` to count its calls."""
+def _count_kernel():
+    """Patch ``CleanDetector.check_block`` to record, per call, how many
+    segments and accesses it got."""
     calls = []
-    original = CleanDetector.check_window
+    original = CleanDetector.check_block
 
-    def counting(self, tids, clocks, block):
-        calls.append(int(block[1].size))
-        return original(self, tids, clocks, block)
+    def counting(self, segments, block):
+        calls.append((len(segments), int(block[1].size)))
+        return original(self, segments, block)
 
-    return calls, mock.patch.object(CleanDetector, "check_window", counting)
+    return calls, mock.patch.object(CleanDetector, "check_block", counting)
 
 
 class TestAnalysisProperty:
@@ -84,12 +91,12 @@ class TestAnalysisProperty:
         trace = record_only(program, sseed)
         layout = EpochLayout(clock_bits=clock_bits)
         scalar = analyze_trace(trace, mode="scalar", layout=layout)
-        calls, counting = _count_windows()
+        calls, counting = _count_kernel()
         with counting, mock.patch.object(
             CleanDetector, "BATCH_MIN", batch_min
         ):
             batch = analyze_trace(trace, mode="batch", layout=layout)
-        assert calls, "the window lane never ran"
+        assert calls, "the batch kernel never ran"
         assert batch.racy == scalar.racy
         assert batch.race == scalar.race
         assert batch.counters == scalar.counters
@@ -182,11 +189,12 @@ def _replay(window, lane):
         clocks.append(detector.thread_vc(tid).copy())
         rows += [(w, a + shift, n, p, s) for w, a, n, p in block]
     race = index = None
-    if lane == "window":
+    if lane == "kernel":
         w, a, n, p, seg = (np.array(col) for col in zip(*rows))
         try:
-            monitor.check_window(
-                tids, clocks, (w.astype(bool), a, n, p.astype(bool), seg)
+            monitor.check_block(
+                list(zip(tids, clocks)),
+                (w.astype(bool), a, n, p.astype(bool), seg),
             )
         except RaceException as exc:
             race, index = exc, monitor.block_progress
@@ -216,9 +224,133 @@ def _replay(window, lane):
 class TestKernelProperty:
     @settings(max_examples=200, deadline=None)
     @given(window=windows(), batch_min=st.sampled_from((1, 4, 16)))
+    # A conservative flag mid-segment (T0's own epoch with the expanded
+    # bit): the re-run resumes at the flagged read, and the segment's
+    # earlier write still makes its last access a same-epoch hit.
+    @example(
+        window={
+            "seed": [(0, 80, 4, True)],
+            "segments": [(0, [], [
+                (True, 64, 8, False), (False, 80, 4, False),
+                (False, 64, 8, False),
+            ])],
+            "far": False,
+        },
+        batch_min=1,
+    )
     def test_window_equals_per_access_hooks(self, window, batch_min):
         with mock.patch.object(CleanDetector, "BATCH_MIN", batch_min):
-            assert _replay(window, "window") == _replay(window, "hooks")
+            assert _replay(window, "kernel") == _replay(window, "hooks")
+
+
+# -- both lanes against the oracle --------------------------------------------
+
+
+class _Oracle(VcRaceDetector):
+    """The full vector-clock detector, recording every race it sees
+    together with the ordinal of the access that found it."""
+
+    def __init__(self, max_threads):
+        super().__init__(max_threads=max_threads, record_only=True)
+        self.access = 0
+        self.records = []
+
+    def check_read(self, tid, address, size=1):
+        self.access += 1
+        super().check_read(tid, address, size)
+
+    def check_write(self, tid, address, size=1):
+        self.access += 1
+        super().check_write(tid, address, size)
+
+    def _report(self, exc):
+        self.records.append((self.access, exc))
+        super()._report(exc)
+
+
+def _oracle_records(trace):
+    """The oracle's records, replayed in the scalar analysis order (a
+    live-run oracle can see a WAR where replay sees a RAW)."""
+    plan = _Plan(trace)
+    oracle = _Oracle(max_threads=max(plan.min_max_threads(), 2))
+    monitor = CleanMonitor(detector=oracle)
+    monitor.sites = None
+    _MonitorReplay(plan, monitor, batch=False).run()
+    return oracle.records
+
+
+class TestOracle:
+    """Each lane is racy iff the oracle records a WAW or RAW race, and
+    names the oracle's first one: same kind and accessing thread, the
+    racing byte inside the reported access, and a prior writer the
+    oracle also saw (it reports every racing writer, CLEAN the last)."""
+
+    @pytest.mark.parametrize("batch_min", [2, 4, 16])
+    @settings(max_examples=50, deadline=None)
+    @given(
+        pseed=st.integers(0, 2**20),
+        sseed=st.integers(0, 2**20),
+        threads=st.sampled_from((3, 4)),
+        ops=st.sampled_from((10, 30)),
+        prob=st.sampled_from((0.0, 0.05, 0.3)),
+    )
+    def test_lanes_match_oracle(
+        self, batch_min, pseed, sseed, threads, ops, prob
+    ):
+        program, _plan = make_random_program(
+            pseed, n_threads=threads, ops_per_thread=ops,
+            race_probability=prob,
+        )
+        trace = record_only(program, sseed)
+        records = _oracle_records(trace)
+        first = next(
+            (record for record in records if record[1].kind != "WAR"), None
+        )
+        with mock.patch.object(CleanDetector, "BATCH_MIN", batch_min):
+            reports = [
+                analyze_trace(trace, mode=mode) for mode in ("scalar", "batch")
+            ]
+        for report in reports:
+            assert report.racy == (first is not None), report.mode
+            if first is None:
+                continue
+            race = report.race
+            access, expected = first
+            assert (race["kind"], race["accessing_tid"]) == (
+                expected.kind, expected.accessing_tid
+            )
+            assert (
+                race["address"] <= expected.address
+                < race["address"] + race["size"]
+            )
+            seen = {
+                (exc.kind, exc.prior_writer_tid, exc.prior_writer_clock)
+                for ordinal, exc in records
+                if ordinal == access
+            }
+            assert (
+                race["kind"], race["prior_writer_tid"],
+                race["prior_writer_clock"],
+            ) in seen
+
+    def test_both_join_sides_run(self):
+        """With a low ``BATCH_MIN`` the random programs reach both the
+        one-segment and the several-segment side of the kernel."""
+        sides = set()
+        for seed in range(6):
+            program, _plan = make_random_program(
+                seed, n_threads=4, ops_per_thread=30, race_probability=0.3
+            )
+            trace = record_only(program, seed)
+            calls, counting = _count_kernel()
+            with counting, mock.patch.object(CleanDetector, "BATCH_MIN", 2):
+                analyze_trace(trace, mode="batch")
+            sides.update(
+                "one" if segments == 1 else "several"
+                for segments, accesses in calls
+                if accesses >= 2
+            )
+        assert sides == {"one", "several"}
 
 
 # -- rollover -----------------------------------------------------------------
