@@ -123,8 +123,11 @@ class _Plan:
     """The replay plan: per-thread columns plus the global sync order.
 
     Raises :class:`ValueError` for a trace no replay can follow: a tid
-    the epoch ``layout`` cannot hold, or a Spawn/Join that names no
-    other thread of the trace.
+    the epoch ``layout`` cannot hold, a thread other than the root (tid
+    0) that no Spawn starts, a sync by a thread that is not running
+    (before its Spawn or after its Join), or a Spawn/Join that names
+    the root, itself, no thread of the trace, a running thread (Spawn)
+    or one not running (Join).
     """
 
     def __init__(
@@ -164,25 +167,42 @@ class _Plan:
         # moment the live barrier tripped.
         self.episodes: Dict[str, List[int]] = {}
         last_arrival: Dict[str, int] = {}
-        spawned = set()
+        spawned = {0}
+        running = {0}
         for o, t, _p, kind, rest in self.syncs:
+            if t not in running:
+                raise ValueError(
+                    f"thread {t}'s {kind} comes while it is not running "
+                    "(before a Spawn of it, or after its Join)"
+                )
             if kind == "BarrierWait":
                 self.episodes.setdefault(rest, []).append(t)
                 last_arrival[rest] = o
             elif kind in ("Spawn", "Join"):
                 target = int(rest) if rest.isdecimal() else None
-                if target == t or target not in self.cols:
+                if (
+                    target in (t, 0)
+                    or target not in self.cols
+                    or (target in running) != (kind == "Join")
+                ):
                     raise ValueError(
-                        f"thread {t}'s {kind}:{rest} names no other "
-                        "thread of the trace"
+                        f"thread {t}'s {kind}:{rest} names no thread of "
+                        f"the trace it could {kind.lower()}"
                     )
                 if kind == "Spawn":
                     spawned.add(target)
+                    running.add(target)
+                else:
+                    running.remove(target)
         self.trips: Dict[int, str] = {
             o: key for key, o in last_arrival.items()
         }
-        roots = [tid for tid in self.cols if tid not in spawned]
-        self.root = min(roots) if roots else min(self.cols, default=0)
+        unspawned = sorted(set(self.cols) - spawned)
+        if unspawned:
+            raise ValueError(
+                f"thread {unspawned[0]} is never spawned: only the root, "
+                "tid 0, starts without a Spawn"
+            )
         self.threads = len(self.cols)
         self.events = sum(len(c) for c in self.cols.values())
         self.accesses = self.events - len(self.syncs)
@@ -269,7 +289,7 @@ class _MonitorReplay:
     def run(self) -> None:
         monitor = self.monitor
         detector = monitor.detector
-        monitor.on_thread_start(self.plan.root, None)
+        monitor.on_thread_start(0, None)
         try:
             for order, tid, pos, kind, rest in self.plan.syncs:
                 self._flush(tid, pos)

@@ -178,8 +178,7 @@ class MulticoreSim:
     ) -> SimResult:
         """Replay ``trace`` and return the timing result.
 
-        ``trace`` is anything exposing ``thread_ids()`` and re-iterable
-        ``iter_events(tid)`` — an in-memory :class:`Trace` or a
+        ``trace`` is an in-memory :class:`Trace` or a
         :class:`~repro.runtime.trace.StreamingTrace` replayed straight
         off disk, chunk by chunk, without ever materializing the full
         event lists.

@@ -16,23 +16,33 @@ Persistence
 -----------
 
 The one on-disk format is *chunked binary*: a magic header followed by
-per-thread chunks of struct-packed records, each chunk optionally
-zlib-compressed, CRC-stamped and carrying its own sync-name table.
-Traces can be replayed without materializing the full event lists — see
-:class:`StreamingTrace` and :func:`open_trace` — so a long recorded
-workload streams through the simulator chunk by chunk.  Every reader
-checks the magic bytes first: a file without them (an empty file, or a
-JSON-lines trace from an older recorder) raises ``ValueError``.
+per-thread chunks of packed records, each chunk optionally
+zlib-compressed, CRC-stamped and carrying its own sync-name table.  A
+chunk has one decoded form, the column arrays of :class:`TraceChunk`,
+and one record-validity rule, :func:`_check_columns`, which the writer
+applies before it encodes a chunk and the decoder after it decodes one.
+Every reader goes through that decoder: :meth:`Trace.load` materializes
+the columns as events, :class:`StreamingTrace` (see :func:`open_trace`)
+replays a long trace chunk by chunk without holding it in memory, and
+:func:`verify_trace` admits a file only if every chunk decodes.  Every
+reader checks the magic bytes first: a file without them (an empty
+file, or a JSON-lines trace from an older recorder) raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+)
 
 import numpy as np
 
@@ -75,9 +85,6 @@ _TRACE_VERSION = 1
 #: the flag still skip the chunk correctly and old files — which never
 #: set the bit — keep loading unchanged).
 _CHUNK_HEADER = struct.Struct("<HBIII")
-#: One packed record: kind/private byte, address, size, gap, sync-name
-#: index into the chunk's name table (0xFFFF = none).
-_RECORD = struct.Struct("<BQIIH")
 _NAME_LEN = struct.Struct("<H")
 _CRC = struct.Struct("<I")
 
@@ -93,7 +100,7 @@ _FLAG_CRC32 = 0x02
 DEFAULT_CHUNK_EVENTS = 4096
 #: Hostile-input bounds on one chunk: its event count, and the bytes its
 #: sync-name table may add to the records (``raw_len`` can exceed
-#: ``n_events * _RECORD.size`` by at most this much).  Together they cap
+#: ``n_events`` records by at most this much).  Together they cap
 #: what one chunk header can make a reader inflate.
 _MAX_CHUNK_EVENTS = 1 << 20
 _MAX_NAME_TABLE = 1 << 20
@@ -106,10 +113,10 @@ MAX_ACCESS_BYTES = 64
 #: replay's signed 64-bit address columns hold each one exactly.
 ADDRESS_LIMIT = 1 << 63
 
-#: Numpy view of the packed record stream: one field per :data:`_RECORD`
-#: column, no padding (``itemsize == _RECORD.size``), so a whole chunk
-#: decodes to column arrays in a single ``frombuffer`` call — the entry
-#: point of the batch replay path.
+#: One packed record: kind/private byte, address, size, gap, sync-name
+#: index into the chunk's name table (0xFFFF = none); little-endian and
+#: unpadded, 19 bytes.  A chunk's records encode with one ``tobytes``
+#: and decode to column arrays with one ``frombuffer``.
 _RECORD_DTYPE = np.dtype(
     [
         ("code", "u1"),
@@ -119,7 +126,6 @@ _RECORD_DTYPE = np.dtype(
         ("name", "<u2"),
     ]
 )
-assert _RECORD_DTYPE.itemsize == _RECORD.size
 
 
 @dataclass(frozen=True)
@@ -143,9 +149,9 @@ class TraceEvent:
 class TraceChunk:
     """One run of a thread's events, decoded to column arrays.
 
-    The currency of the batch replay path: a binary chunk's packed
-    records become five numpy columns in one ``frombuffer`` call (no
-    per-event Python objects), and the offline analysis engine slices
+    The one decoded form of a binary chunk: its packed records become
+    five numpy columns in one ``frombuffer`` call (no per-event Python
+    objects), and the offline analysis engine slices
     synchronization-free runs straight out of them for
     ``check_block``.  ``names`` is the chunk's sync-name table;
     ``name_idx`` holds :data:`_NO_NAME` for non-sync events.
@@ -179,66 +185,129 @@ class TraceChunk:
 
     def events(self) -> List[TraceEvent]:
         """Materialize the chunk as :class:`TraceEvent` objects."""
-        kinds = self.kinds
-        private = self.private
         names = self.names
         return [
             TraceEvent(
-                kind=_CODE_KIND[int(kinds[i])],
-                address=int(self.addresses[i]),
-                size=int(self.sizes[i]),
-                private=bool(private[i]),
-                gap=int(self.gaps[i]),
-                sync_name=(
-                    "" if self.name_idx[i] == _NO_NAME
-                    else names[int(self.name_idx[i])]
-                ),
+                _CODE_KIND[code & ~_PRIVATE_BIT],
+                address,
+                size,
+                bool(code & _PRIVATE_BIT),
+                gap,
+                "" if idx == _NO_NAME else names[idx],
             )
-            for i in range(len(self.codes))
+            for code, address, size, gap, idx in zip(
+                self.codes.tolist(),
+                self.addresses.tolist(),
+                self.sizes.tolist(),
+                self.gaps.tolist(),
+                self.name_idx.tolist(),
+            )
         ]
 
     @classmethod
     def from_events(cls, tid: int, events: List[TraceEvent]) -> "TraceChunk":
-        """Column-ize an in-memory event list (the recorder's output)."""
-        n = len(events)
-        names: List[str] = []
-        name_pos: Dict[str, int] = {}
-        name_idx = np.full(n, _NO_NAME, dtype=np.uint16)
-        codes = np.zeros(n, dtype=np.uint8)
-        addresses = np.zeros(n, dtype=np.uint64)
-        sizes = np.zeros(n, dtype=np.uint32)
-        gaps = np.zeros(n, dtype=np.uint32)
-        for i, e in enumerate(events):
-            codes[i] = _KIND_CODE[e.kind] | (_PRIVATE_BIT if e.private else 0)
-            addresses[i] = e.address
-            sizes[i] = e.size
-            gaps[i] = e.gap
-            if e.sync_name:
-                idx = name_pos.get(e.sync_name)
-                if idx is None:
-                    idx = len(names)
-                    name_pos[e.sync_name] = idx
-                    names.append(e.sync_name)
-                name_idx[i] = idx
-        return cls(tid, codes, addresses, sizes, gaps, name_idx, names)
+        """Column-ize an in-memory event list (the recorder's output).
+
+        Raises ``ValueError`` naming the field for an unknown kind or a
+        value its packed record column cannot hold.
+        """
+        try:
+            codes = [
+                _KIND_CODE[e.kind] | (_PRIVATE_BIT if e.private else 0)
+                for e in events
+            ]
+        except KeyError as exc:
+            raise ValueError(f"unknown event kind {exc.args[0]!r}") from None
+        table: Dict[str, int] = {}
+        name_idx = [
+            table.setdefault(e.sync_name, len(table)) if e.sync_name
+            else _NO_NAME
+            for e in events
+        ]
+        if len(table) > _NO_NAME:
+            raise ValueError(
+                f"sync names: {len(table)} in one chunk, at most {_NO_NAME}"
+            )
+        return cls(
+            tid,
+            np.array(codes, dtype=np.uint8),
+            _column([e.address for e in events], np.uint64, "address/sync order"),
+            _column([e.size for e in events], np.uint32, "size"),
+            _column([e.gap for e in events], np.uint32, "gap"),
+            np.array(name_idx, dtype=np.uint16),
+            list(table),
+        )
+
+
+def _column(values: List[int], dtype: type, field: str) -> "np.ndarray":
+    """``values`` as a ``dtype`` column, or ``ValueError`` naming
+    ``field`` for a value the column cannot hold (numpy would raise
+    ``OverflowError``, or wrap)."""
+    if not values:
+        return np.zeros(0, dtype=dtype)
+    column = np.array(values)
+    top = int(np.iinfo(dtype).max)
+    if column.dtype.kind not in "iu" or column.min() < 0 or column.max() > top:
+        bad = next(
+            v for v in values
+            if not (isinstance(v, (int, np.integer)) and 0 <= v <= top)
+        )
+        raise ValueError(f"{field} {bad!r} is not an integer in 0..{top}")
+    return column.astype(dtype)
 
 
 # -- binary chunk encode/decode ---------------------------------------------
 
 
-def _check_access_size(size: int) -> None:
-    if not 1 <= size <= MAX_ACCESS_BYTES:
-        raise ValueError(
-            f"access size {size} outside 1..{MAX_ACCESS_BYTES} bytes"
-        )
+class _Header(NamedTuple):
+    """One chunk's header fields, with its index and offset in the file."""
+
+    index: int
+    offset: int
+    tid: int
+    flags: int
+    n_events: int
+    raw_len: int
+    stored_len: int
 
 
-def _check_access(address: int, size: int) -> None:
-    _check_access_size(size)
-    if address > ADDRESS_LIMIT - size:
-        raise ValueError(
-            f"access of {size} bytes at {address:#x} reaches past 2**63"
-        )
+def _check_columns(chunk: TraceChunk) -> None:
+    """The one record-validity rule.
+
+    The writer applies it before it encodes a chunk and the decoder
+    after it decodes one, so no reader accepts what the writer refuses
+    and no writer produces what a reader rejects: every kind code is
+    known, every access is 1..:data:`MAX_ACCESS_BYTES` bytes wide and
+    ends at or below :data:`ADDRESS_LIMIT`, and every sync-name index
+    lies inside the chunk's name table.
+    """
+    kinds = chunk.kinds
+    if len(kinds) and int(kinds.max()) > max(_CODE_KIND):
+        raise ValueError(f"unknown event kind code {int(kinds.max())}")
+    memory = kinds != _KIND_CODE[SYNC]
+    sizes = chunk.sizes[memory]
+    if sizes.size:
+        low, high = int(sizes.min()), int(sizes.max())
+        if low < 1 or high > MAX_ACCESS_BYTES:
+            raise ValueError(
+                f"access size {low if low < 1 else high} outside "
+                f"1..{MAX_ACCESS_BYTES} bytes"
+            )
+        # Sync records hold small commit orders here, so one max clears
+        # the usual chunk.
+        addresses = chunk.addresses
+        if int(addresses.max()) > ADDRESS_LIMIT - MAX_ACCESS_BYTES:
+            latest = np.uint64(ADDRESS_LIMIT) - chunk.sizes
+            over = memory & (addresses > latest)
+            if over.any():
+                first = int(over.argmax())
+                raise ValueError(
+                    f"access of {int(chunk.sizes[first])} bytes at "
+                    f"{int(addresses[first]):#x} reaches past 2**63"
+                )
+    named = chunk.name_idx[chunk.name_idx != _NO_NAME]
+    if named.size and int(named.max()) >= len(chunk.names):
+        raise ValueError(f"sync-name index {int(named.max())} out of range")
 
 
 def _corrupt(path: object, index: int, offset: int, detail: str) -> ValueError:
@@ -261,31 +330,28 @@ def _note_salvaged(count: int) -> None:
 
 
 def _encode_chunk(
-    tid: int, events: List[TraceEvent], compress: bool, crc: bool = True
+    tid: int, events: List[TraceEvent], compress: bool, crc: bool
 ) -> bytes:
-    names: List[str] = []
-    name_idx: Dict[str, int] = {}
-    records = bytearray()
-    for e in events:
-        if e.sync_name:
-            idx = name_idx.get(e.sync_name)
-            if idx is None:
-                idx = len(names)
-                name_idx[e.sync_name] = idx
-                names.append(e.sync_name)
-        else:
-            idx = _NO_NAME
-        if e.kind != SYNC:
-            _check_access(e.address, e.size)
-        code = _KIND_CODE[e.kind] | (_PRIVATE_BIT if e.private else 0)
-        records += _RECORD.pack(code, e.address, e.size, e.gap, idx)
-    table = bytearray(_NAME_LEN.pack(len(names)))
-    for name in names:
+    """One chunk's bytes: header, then the name table and packed
+    records, zlib-compressed and CRC-stamped as asked."""
+    if not 0 <= tid <= 0xFFFF:
+        raise ValueError(f"thread id {tid} outside 0..{0xFFFF}")
+    chunk = TraceChunk.from_events(tid, events)
+    _check_columns(chunk)
+    table = [_NAME_LEN.pack(len(chunk.names))]
+    for name in chunk.names:
         raw = name.encode("utf-8")
-        table += _NAME_LEN.pack(len(raw)) + raw
-    if len(events) > _MAX_CHUNK_EVENTS or len(table) > _MAX_NAME_TABLE:
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"sync name of {len(raw)} bytes, at most {0xFFFF}")
+        table += (_NAME_LEN.pack(len(raw)), raw)
+    table_bytes = b"".join(table)
+    if len(events) > _MAX_CHUNK_EVENTS or len(table_bytes) > _MAX_NAME_TABLE:
         raise ValueError("trace chunk exceeds the readable size bounds")
-    payload = bytes(table) + bytes(records)
+    records = np.rec.fromarrays(
+        [chunk.codes, chunk.addresses, chunk.sizes, chunk.gaps, chunk.name_idx],
+        dtype=_RECORD_DTYPE,
+    )
+    payload = table_bytes + records.tobytes()
     flags = 0
     stored = payload
     if compress:
@@ -298,225 +364,148 @@ def _encode_chunk(
     return header + stored
 
 
-def _decode_payload(payload: bytes, n_events: int) -> List[TraceEvent]:
-    (n_names,) = _NAME_LEN.unpack_from(payload, 0)
-    offset = _NAME_LEN.size
-    names: List[str] = []
-    for _ in range(n_names):
-        (length,) = _NAME_LEN.unpack_from(payload, offset)
-        offset += _NAME_LEN.size
-        names.append(payload[offset : offset + length].decode("utf-8"))
-        offset += length
-    events: List[TraceEvent] = []
-    for code, address, size, gap, idx in _RECORD.iter_unpack(payload[offset:]):
-        kind = _CODE_KIND.get(code & ~_PRIVATE_BIT)
-        if kind is None:
-            raise ValueError(f"unknown event kind code {code & ~_PRIVATE_BIT}")
-        if kind != SYNC:
-            _check_access(address, size)
-        events.append(
-            TraceEvent(
-                kind=kind,
-                address=address,
-                size=size,
-                private=bool(code & _PRIVATE_BIT),
-                gap=gap,
-                sync_name="" if idx == _NO_NAME else names[idx],
-            )
-        )
-    if len(events) != n_events:
-        raise ValueError(
-            f"corrupt trace chunk: header says {n_events} events, "
-            f"payload decodes to {len(events)}"
-        )
-    return events
+def _headers(fh: BinaryIO, path: object) -> Iterator[_Header]:
+    """Walk an open trace's chunk headers in file order.
 
-
-def _read_chunk_raw(
-    fh: BinaryIO, path: object, index: int
-) -> Optional[Tuple[int, int, int, int, bytes, int]]:
-    """Read one chunk's header and stored bytes, without decoding.
-
-    Returns ``(tid, flags, n_events, raw_len, stored, offset)`` or
-    ``None`` at a clean end of file.  Any short read raises the wrapped
-    ``truncated/corrupt trace`` :class:`ValueError` — a failure here
-    means the rest of the file cannot be walked.
+    Checks the magic bytes first, and leaves ``fh`` at each chunk's
+    stored bytes when it yields the chunk's header.  A cut header, or a
+    stored region reaching past the end of the file, raises the wrapped
+    ``truncated/corrupt trace`` :class:`ValueError`: the rest of the
+    file cannot be walked past it, so this holds in salvage mode too.
     """
+    _check_magic(fh, path)
     offset = fh.tell()
-    header = fh.read(_CHUNK_HEADER.size)
-    if not header:
-        return None
-    if len(header) != _CHUNK_HEADER.size:
-        raise _corrupt(
-            path, index, offset,
-            f"truncated chunk header ({len(header)}/{_CHUNK_HEADER.size} bytes)",
-        )
-    tid, flags, n_events, raw_len, stored_len = _CHUNK_HEADER.unpack(header)
-    stored = fh.read(stored_len)
-    if len(stored) != stored_len:
-        raise _corrupt(
-            path, index, offset,
-            f"truncated chunk payload ({len(stored)}/{stored_len} bytes)",
-        )
-    return tid, flags, n_events, raw_len, stored, offset
+    end = fh.seek(0, io.SEEK_END)
+    index = 0
+    while True:
+        fh.seek(offset)
+        raw = fh.read(_CHUNK_HEADER.size)
+        if not raw:
+            return
+        if len(raw) != _CHUNK_HEADER.size:
+            raise _corrupt(
+                path, index, offset,
+                f"truncated chunk header ({len(raw)}/{_CHUNK_HEADER.size} bytes)",
+            )
+        header = _Header(index, offset, *_CHUNK_HEADER.unpack(raw))
+        start = offset + _CHUNK_HEADER.size
+        if start + header.stored_len > end:
+            raise _corrupt(
+                path, index, offset,
+                f"truncated chunk payload "
+                f"({end - start}/{header.stored_len} bytes)",
+            )
+        yield header
+        offset = start + header.stored_len
+        index += 1
 
 
-def _verify_stored(
-    stored: bytes,
-    flags: int,
-    n_events: int,
-    raw_len: int,
-    path: object,
-    index: int,
-    offset: int,
-) -> bytes:
+def _verify_stored(stored: bytes, header: _Header) -> bytes:
     """Checksum-verify and decompress one chunk's stored bytes.
 
     The header is checked first and the inflate is bounded by its
     ``raw_len``, so a small upload cannot make the reader allocate more
     than the header admits (a decompression bomb fails after
-    ``raw_len + 1`` bytes).
+    ``raw_len + 1`` bytes).  Stored bytes cut short fail here too.
     """
+    n_events, raw_len = header.n_events, header.raw_len
     if not (
-        n_events * _RECORD.size <= raw_len
-        <= n_events * _RECORD.size + _MAX_NAME_TABLE
+        n_events * _RECORD_DTYPE.itemsize <= raw_len
+        <= n_events * _RECORD_DTYPE.itemsize + _MAX_NAME_TABLE
     ) or n_events > _MAX_CHUNK_EVENTS:
-        raise _corrupt(
-            path, index, offset,
+        raise ValueError(
             f"implausible chunk header ({n_events} events, "
-            f"{raw_len} payload bytes)",
+            f"{raw_len} payload bytes)"
         )
-    if flags & _FLAG_CRC32:
+    if header.flags & _FLAG_CRC32:
         if len(stored) < _CRC.size:
-            raise _corrupt(path, index, offset, "chunk too short for its checksum")
+            raise ValueError("chunk too short for its checksum")
         (expected,) = _CRC.unpack_from(stored, len(stored) - _CRC.size)
         stored = stored[: -_CRC.size]
         actual = zlib.crc32(stored) & 0xFFFFFFFF
         if actual != expected:
-            raise _corrupt(
-                path, index, offset,
-                f"CRC mismatch (stored {expected:#010x}, computed {actual:#010x})",
+            raise ValueError(
+                f"CRC mismatch (stored {expected:#010x}, computed {actual:#010x})"
             )
     payload = stored
-    if flags & _FLAG_ZLIB:
+    if header.flags & _FLAG_ZLIB:
         inflater = zlib.decompressobj()
         try:
             payload = inflater.decompress(stored, raw_len + 1)
         except zlib.error as exc:
-            raise _corrupt(
-                path, index, offset, f"decompression failed: {exc}"
-            ) from None
+            raise ValueError(f"decompression failed: {exc}") from None
         if len(payload) <= raw_len and not inflater.eof:
-            raise _corrupt(
-                path, index, offset,
-                "decompression failed: incomplete or truncated stream",
+            raise ValueError(
+                "decompression failed: incomplete or truncated stream"
             )
     if len(payload) != raw_len:
-        raise _corrupt(
-            path, index, offset,
-            f"payload length mismatch ({len(payload)} != {raw_len})",
-        )
+        raise ValueError(f"payload length mismatch ({len(payload)} != {raw_len})")
     return payload
 
 
-def _decode_stored(
-    stored: bytes,
-    flags: int,
-    n_events: int,
-    raw_len: int,
-    path: object,
-    index: int,
-    offset: int,
-) -> List[TraceEvent]:
-    """Verify, decompress and decode one chunk's stored bytes.
+def _decode_chunk(stored: bytes, header: _Header, path: object) -> TraceChunk:
+    """Verify, decompress and decode one chunk's stored bytes to columns.
 
-    Every failure mode — checksum mismatch, zlib damage, record-level
-    garbage — surfaces as the wrapped ``truncated/corrupt trace``
+    The one record decoder: the name table is walked in Python (it is
+    tiny), every packed record lands in numpy columns via one
+    ``frombuffer``, and :func:`_check_columns` validates them.  Every
+    failure mode — checksum mismatch, zlib damage, record-level garbage
+    — surfaces as the wrapped ``truncated/corrupt trace``
     :class:`ValueError` with file, chunk and offset context.  A failure
     here damages only this chunk; the file remains walkable.
     """
-    payload = _verify_stored(
-        stored, flags, n_events, raw_len, path, index, offset
-    )
     try:
-        return _decode_payload(payload, n_events)
-    except (ValueError, struct.error, IndexError, UnicodeDecodeError) as exc:
-        raise _corrupt(path, index, offset, str(exc)) from None
-
-
-def _payload_to_chunk(tid: int, payload: bytes, n_events: int) -> TraceChunk:
-    """Decode a verified payload straight to column arrays.
-
-    The batch-path twin of :func:`_decode_payload`: the name table is
-    walked in Python (it is tiny), then every packed record lands in
-    numpy columns via one ``frombuffer`` — no per-event objects.
-    """
-    (n_names,) = _NAME_LEN.unpack_from(payload, 0)
-    offset = _NAME_LEN.size
-    names: List[str] = []
-    for _ in range(n_names):
-        (length,) = _NAME_LEN.unpack_from(payload, offset)
-        offset += _NAME_LEN.size
-        names.append(payload[offset : offset + length].decode("utf-8"))
-        offset += length
-    records = payload[offset:]
-    if len(records) != n_events * _RECORD.size:
-        raise ValueError(
-            f"corrupt trace chunk: header says {n_events} events, "
-            f"payload holds {len(records) // _RECORD.size}"
+        payload = _verify_stored(stored, header)
+        (n_names,) = _NAME_LEN.unpack_from(payload, 0)
+        offset = _NAME_LEN.size
+        names: List[str] = []
+        for _ in range(n_names):
+            (length,) = _NAME_LEN.unpack_from(payload, offset)
+            offset += _NAME_LEN.size
+            names.append(payload[offset : offset + length].decode("utf-8"))
+            offset += length
+        if offset > len(payload):
+            raise ValueError("sync-name table runs past the chunk payload")
+        records = payload[offset:]
+        if len(records) != header.n_events * _RECORD_DTYPE.itemsize:
+            raise ValueError(
+                f"corrupt trace chunk: header says {header.n_events} events, "
+                f"payload holds {len(records) // _RECORD_DTYPE.itemsize}"
+            )
+        arr = np.frombuffer(records, dtype=_RECORD_DTYPE)
+        chunk = TraceChunk(
+            tid=header.tid,
+            codes=arr["code"].copy(),
+            addresses=arr["address"].copy(),
+            sizes=arr["size"].copy(),
+            gaps=arr["gap"].copy(),
+            name_idx=arr["name"].copy(),
+            names=names,
         )
-    arr = np.frombuffer(records, dtype=_RECORD_DTYPE, count=n_events)
-    codes = arr["code"].copy()
-    kinds = codes & ~np.uint8(_PRIVATE_BIT)
-    if n_events and int(kinds.max()) > max(_CODE_KIND):
-        raise ValueError(f"unknown event kind code {int(kinds.max())}")
-    memory = kinds != _KIND_CODE[SYNC]
-    sizes = arr["size"][memory]
-    if sizes.size:
-        _check_access_size(int(sizes.min()))
-        _check_access_size(int(sizes.max()))
-        # Sync records hold small commit orders here, so one max clears
-        # the usual chunk.
-        addresses = arr["address"]
-        if int(addresses.max()) > ADDRESS_LIMIT - MAX_ACCESS_BYTES:
-            latest = np.uint64(ADDRESS_LIMIT) - arr["size"]
-            over = memory & (addresses > latest)
-            if over.any():
-                first = int(over.argmax())
-                _check_access(int(addresses[first]), int(arr["size"][first]))
-    name_idx = arr["name"].copy()
-    named = name_idx[name_idx != _NO_NAME]
-    if named.size and int(named.max()) >= len(names):
-        raise ValueError(f"sync-name index {int(named.max())} out of range")
-    return TraceChunk(
-        tid=tid,
-        codes=codes,
-        addresses=arr["address"].copy(),
-        sizes=arr["size"].copy(),
-        gaps=arr["gap"].copy(),
-        name_idx=name_idx,
-        names=names,
-    )
+        _check_columns(chunk)
+    except (ValueError, struct.error) as exc:
+        raise _corrupt(path, header.index, header.offset, str(exc)) from None
+    return chunk
 
 
-def _decode_stored_chunk(
-    stored: bytes,
-    flags: int,
-    n_events: int,
-    raw_len: int,
-    path: object,
-    index: int,
-    offset: int,
-    tid: int,
-) -> TraceChunk:
-    """Column-array twin of :func:`_decode_stored` (same error surface)."""
-    payload = _verify_stored(
-        stored, flags, n_events, raw_len, path, index, offset
-    )
-    try:
-        return _payload_to_chunk(tid, payload, n_events)
-    except (ValueError, struct.error, IndexError, UnicodeDecodeError) as exc:
-        raise _corrupt(path, index, offset, str(exc)) from None
+def _walk(
+    fh: BinaryIO, path: object, salvage: bool = False
+) -> Iterator[Tuple[_Header, Optional[TraceChunk]]]:
+    """Decode every chunk of an open trace, in file order.
+
+    Yields each chunk's header with its columns.  With ``salvage=True``
+    a chunk whose payload is damaged yields ``None`` instead of raising;
+    damage to the chunk structure raises in either mode (see
+    :func:`_headers`).
+    """
+    for header in _headers(fh, path):
+        try:
+            chunk = _decode_chunk(fh.read(header.stored_len), header, path)
+        except ValueError:
+            if not salvage:
+                raise
+            chunk = None
+        yield header, chunk
 
 
 @dataclass
@@ -598,26 +587,36 @@ class Trace:
 
         ``compress`` zlib-compresses each chunk; ``chunk_events`` bounds
         events per chunk; ``crc`` stamps each chunk with a CRC32 of its
-        stored bytes so loaders can detect bit damage.
+        stored bytes so loaders can detect bit damage.  The chunks go to
+        a temporary file beside ``path`` that replaces it only once every
+        chunk has encoded: a save that raises leaves no file, or the old
+        one, never a truncated trace that loads.
         """
         if chunk_events < 1:
             raise ValueError("chunk_events must be positive")
-        with open(path, "wb") as fh:
-            fh.write(TRACE_MAGIC + bytes([_TRACE_VERSION]))
-            for tid in self.thread_ids():
-                events = self.per_thread[tid]
-                if not events:
-                    # An empty chunk keeps the thread visible to readers.
-                    fh.write(_encode_chunk(tid, [], compress, crc=crc))
-                for start in range(0, len(events), chunk_events):
-                    fh.write(
-                        _encode_chunk(
-                            tid,
-                            events[start : start + chunk_events],
-                            compress,
-                            crc=crc,
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(TRACE_MAGIC + bytes([_TRACE_VERSION]))
+                for tid in self.thread_ids():
+                    events = self.per_thread[tid]
+                    # An empty thread still gets one (empty) chunk, which
+                    # keeps it visible to readers.
+                    for start in range(0, max(len(events), 1), chunk_events):
+                        fh.write(
+                            _encode_chunk(
+                                tid,
+                                events[start : start + chunk_events],
+                                compress,
+                                crc,
+                            )
                         )
-                    )
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: Union[str, Path], salvage: bool = False) -> "Trace":
@@ -635,24 +634,11 @@ class Trace:
         per_thread: Dict[int, List[TraceEvent]] = {}
         salvaged = 0
         with open(path, "rb") as fh:
-            _check_magic(fh, path)
-            index = 0
-            while True:
-                chunk = _read_chunk_raw(fh, path, index)
+            for header, chunk in _walk(fh, path, salvage):
                 if chunk is None:
-                    break
-                tid, flags, n_events, raw_len, stored, offset = chunk
-                try:
-                    events = _decode_stored(
-                        stored, flags, n_events, raw_len, path, index, offset
-                    )
-                except ValueError:
-                    if not salvage:
-                        raise
                     salvaged += 1
                 else:
-                    per_thread.setdefault(tid, []).extend(events)
-                index += 1
+                    per_thread.setdefault(header.tid, []).extend(chunk.events())
         _note_salvaged(salvaged)
         return cls(per_thread=per_thread, salvaged_chunks=salvaged)
 
@@ -675,73 +661,38 @@ def _check_magic(fh: BinaryIO, path: Union[str, Path]) -> None:
 class StreamingTrace:
     """A binary trace replayed chunk by chunk, never fully in memory.
 
-    Implements the protocol the simulator consumes — :meth:`thread_ids`
-    and re-iterable :meth:`iter_events` — by indexing chunk *offsets* at
+    Implements the protocol the simulator and the analysis engine
+    consume — :meth:`thread_ids` and re-iterable :meth:`iter_chunks`
+    (:meth:`iter_events` yields their events) — by indexing chunk headers at
     open time (one header-hopping scan, no payloads read) and decoding
-    one chunk at a time during iteration.  Each :meth:`iter_events` call
+    one chunk at a time during iteration.  Each :meth:`iter_chunks` call
     opens its own file handle, so the simulator can interleave many
     threads' iterators, and the warmup pass can simply iterate again.
 
-    With ``salvage=True`` every chunk's payload is *validated* during
-    the open-time scan (damaged ones are dropped from the index and
-    counted in :attr:`salvaged_chunks`) so that later iteration can
-    never blow up mid-simulation.  Salvage pays the full decode cost up
-    front; the default mode keeps the cheap header-hopping scan and
-    raises lazily from :meth:`iter_events` if a chunk turns out damaged.
+    With ``salvage=True`` every chunk is decoded during the open-time
+    scan — the same columnar decode admission and analysis run — and
+    damaged ones are dropped from the index and counted in
+    :attr:`salvaged_chunks`, so that later iteration can never blow up
+    mid-simulation.  The default mode keeps the cheap header-hopping
+    scan and raises lazily from :meth:`iter_chunks` if a chunk turns out
+    damaged.
     """
 
     def __init__(self, path: Union[str, Path], salvage: bool = False) -> None:
         self._path = Path(path)
         self.salvaged_chunks = 0
-        #: tid -> [(chunk index, payload offset, flags, n_events, raw_len,
-        #: stored_len)]
-        self._index: Dict[int, List[Tuple[int, int, int, int, int, int]]] = {}
-        file_size = self._path.stat().st_size
+        #: tid -> headers of its chunks, in file order
+        self._index: Dict[int, List[_Header]] = {}
         with open(self._path, "rb") as fh:
-            _check_magic(fh, path)
-            index = 0
-            while True:
-                if salvage:
-                    chunk = _read_chunk_raw(fh, path, index)
+            if salvage:
+                for header, chunk in _walk(fh, path, salvage=True):
                     if chunk is None:
-                        break
-                    tid, flags, n_events, raw_len, stored, offset = chunk
-                    payload_offset = offset + _CHUNK_HEADER.size
-                    stored_len = len(stored)
-                    try:
-                        _decode_stored(
-                            stored, flags, n_events, raw_len, path, index, offset
-                        )
-                    except ValueError:
                         self.salvaged_chunks += 1
-                        index += 1
-                        continue
-                else:
-                    offset = fh.tell()
-                    header = fh.read(_CHUNK_HEADER.size)
-                    if not header:
-                        break
-                    if len(header) != _CHUNK_HEADER.size:
-                        raise _corrupt(
-                            path, index, offset,
-                            f"truncated chunk header "
-                            f"({len(header)}/{_CHUNK_HEADER.size} bytes)",
-                        )
-                    tid, flags, n_events, raw_len, stored_len = (
-                        _CHUNK_HEADER.unpack(header)
-                    )
-                    payload_offset = fh.tell()
-                    if payload_offset + stored_len > file_size:
-                        raise _corrupt(
-                            path, index, offset,
-                            f"truncated chunk payload "
-                            f"({file_size - payload_offset}/{stored_len} bytes)",
-                        )
-                    fh.seek(stored_len, 1)
-                self._index.setdefault(tid, []).append(
-                    (index, payload_offset, flags, n_events, raw_len, stored_len)
-                )
-                index += 1
+                    else:
+                        self._index.setdefault(header.tid, []).append(header)
+            else:
+                for header in _headers(fh, path):
+                    self._index.setdefault(header.tid, []).append(header)
         _note_salvaged(self.salvaged_chunks)
 
     def thread_ids(self) -> List[int]:
@@ -751,49 +702,24 @@ class StreamingTrace:
     def iter_events(self, tid: int) -> Iterator[TraceEvent]:
         """Lazily yield thread ``tid``'s events, one chunk in memory at
         a time.  Fresh iterator per call — safe to replay repeatedly."""
-        chunks = self._index.get(tid, [])
-        if not chunks:
-            return
-        with open(self._path, "rb") as fh:
-            for index, offset, flags, n_events, raw_len, stored_len in chunks:
-                fh.seek(offset)
-                stored = fh.read(stored_len)
-                if len(stored) != stored_len:
-                    raise _corrupt(
-                        self._path, index, offset - _CHUNK_HEADER.size,
-                        f"truncated chunk payload "
-                        f"({len(stored)}/{stored_len} bytes)",
-                    )
-                for event in _decode_stored(
-                    stored, flags, n_events, raw_len,
-                    self._path, index, offset - _CHUNK_HEADER.size,
-                ):
-                    yield event
+        for chunk in self.iter_chunks(tid):
+            yield from chunk.events()
 
     def iter_chunks(self, tid: int) -> Iterator[TraceChunk]:
         """Yield thread ``tid``'s stored chunks as column arrays.
 
-        The batch replay fast path: each chunk's packed records decode
-        straight into numpy columns (one ``frombuffer``), skipping
-        per-event :class:`TraceEvent` construction entirely.  Fresh
-        file handle per call, like :meth:`iter_events`.
+        Each chunk's packed records decode straight into numpy columns
+        (one ``frombuffer``).  Fresh file handle per call, so iterators
+        over different threads interleave freely.
         """
-        chunks = self._index.get(tid, [])
-        if not chunks:
+        headers = self._index.get(tid, [])
+        if not headers:
             return
         with open(self._path, "rb") as fh:
-            for index, offset, flags, n_events, raw_len, stored_len in chunks:
-                fh.seek(offset)
-                stored = fh.read(stored_len)
-                if len(stored) != stored_len:
-                    raise _corrupt(
-                        self._path, index, offset - _CHUNK_HEADER.size,
-                        f"truncated chunk payload "
-                        f"({len(stored)}/{stored_len} bytes)",
-                    )
-                yield _decode_stored_chunk(
-                    stored, flags, n_events, raw_len,
-                    self._path, index, offset - _CHUNK_HEADER.size, tid,
+            for header in headers:
+                fh.seek(header.offset + _CHUNK_HEADER.size)
+                yield _decode_chunk(
+                    fh.read(header.stored_len), header, self._path
                 )
 
     def events(self, tid: int) -> List[TraceEvent]:
@@ -807,9 +733,7 @@ class StreamingTrace:
     @property
     def total_events(self) -> int:
         """Total event count, known from chunk headers alone."""
-        return sum(
-            n for chunks in self._index.values() for _, _, _, n, _, _ in chunks
-        )
+        return sum(h.n_events for headers in self._index.values() for h in headers)
 
 
 def open_trace(
@@ -823,22 +747,6 @@ def open_trace(
     return StreamingTrace(path, salvage=salvage)
 
 
-def _verify_walk(fh: BinaryIO, path: object) -> int:
-    _check_magic(fh, path)
-    events = 0
-    index = 0
-    while True:
-        chunk = _read_chunk_raw(fh, path, index)
-        if chunk is None:
-            return events
-        tid, flags, n_events, raw_len, stored, offset = chunk
-        _decode_stored_chunk(
-            stored, flags, n_events, raw_len, path, index, offset, tid
-        )
-        events += n_events
-        index += 1
-
-
 def verify_trace(path: Union[str, Path]) -> int:
     """Validate a binary trace end to end; returns its event count.
 
@@ -850,13 +758,13 @@ def verify_trace(path: Union[str, Path]) -> int:
     enough that an accepted trace cannot later blow up a worker.
     """
     with open(path, "rb") as fh:
-        return _verify_walk(fh, path)
+        return sum(len(chunk) for _, chunk in _walk(fh, path))
 
 
 def verify_trace_bytes(data: bytes, name: str = "<upload>") -> int:
     """:func:`verify_trace` for a trace still in memory (e.g. an HTTP
     request body, validated before it is spooled to disk)."""
-    return _verify_walk(io.BytesIO(data), name)
+    return sum(len(chunk) for _, chunk in _walk(io.BytesIO(data), name))
 
 
 # -- generic CRC-framed record streams ----------------------------------------
@@ -932,7 +840,9 @@ def read_frames(
 
 
 def chunked_events(
-    trace: object, tid: int, chunk_events: int = DEFAULT_CHUNK_EVENTS
+    trace: Union[Trace, StreamingTrace],
+    tid: int,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
 ) -> Iterator[List[TraceEvent]]:
     """Yield thread ``tid``'s events one chunk-sized list at a time.
 
@@ -940,26 +850,15 @@ def chunked_events(
     ``next()`` at a time, it buffers a whole chunk's list and walks it
     by index.  In-memory :class:`Trace` objects hand out list slices
     (zero copy decode); :class:`StreamingTrace` decodes each stored
-    chunk once; anything else satisfying ``iter_events`` is batched
-    through a fallback.
+    chunk once.
     """
     if isinstance(trace, Trace):
         events = trace.per_thread.get(tid, [])
         for start in range(0, len(events), chunk_events):
             yield events[start : start + chunk_events]
         return
-    if isinstance(trace, StreamingTrace):
-        for chunk in trace.iter_chunks(tid):
-            yield chunk.events()
-        return
-    batch: List[TraceEvent] = []
-    for event in trace.iter_events(tid):
-        batch.append(event)
-        if len(batch) >= chunk_events:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    for chunk in trace.iter_chunks(tid):
+        yield chunk.events()
 
 
 class TraceRecorder(ExecutionMonitor):

@@ -1,5 +1,6 @@
 """Tests for trace persistence and the command-line interface."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -82,6 +83,82 @@ class TestTracePersistence:
         b = simulate_trace(loaded, SimConfig(detection=True))
         assert a.cycles == b.cycles
 
+    @staticmethod
+    def pinned_trace():
+        """Several threads (one empty), sync names, private bits, the
+        widest access ending at 2**63 and the widest gap."""
+        return Trace(per_thread={
+            0: [TraceEvent(SYNC, address=1, gap=3, sync_name="Spawn:1"),
+                TraceEvent(SYNC, address=2, sync_name="Spawn:2")]
+            + [TraceEvent(WRITE, 0x1000 + 8 * i, 8, private=i % 4 == 0,
+                          gap=i % 3) for i in range(11)]
+            + [TraceEvent(SYNC, address=5, sync_name="Release:L"),
+               TraceEvent(SYNC, address=6, sync_name="Join:1")],
+            1: [TraceEvent(SYNC, address=3, sync_name="Acquire:L")]
+            + [TraceEvent(READ, 0x1000 + 4 * i, 4, gap=7 * i) for i in range(9)]
+            + [TraceEvent(SYNC, address=4, gap=1, sync_name="Release:L")],
+            2: [],
+            7: [TraceEvent(WRITE, ADDRESS_LIMIT - 64, 64, private=True,
+                           gap=(1 << 32) - 1)],
+        })
+
+    @pytest.mark.parametrize("options, digest", [
+        (dict(compress=True, crc=True, chunk_events=4),
+         "a5304c0656f917c8af90fbb52faa594231962c9179d8425ff21212087c23b04b"),
+        (dict(compress=True, crc=False, chunk_events=4),
+         "74dddd06f74ba90677121e87004ef7dd5edb2ac5d643f52e25c898e7b18a266e"),
+        (dict(compress=False, crc=True, chunk_events=4),
+         "da14ffd4a12a4add786e759552e4e9d631ce88704e9ecaa0a1163027b23f43cc"),
+        (dict(compress=False, crc=False, chunk_events=4),
+         "f2dbbc870d2e649c0cffe5651855b89a658f8253cecea0480cea0bfc318feb11"),
+        (dict(),
+         "952aea7b1e7baa49f421436e5c598ba4a88f05567966c07a0508ad9edabd6242"),
+    ])
+    def test_saved_bytes_are_pinned(self, tmp_path, options, digest):
+        # The format is a contract: re-saving a loaded trace must give
+        # back the file's bytes (the layer ledger's upload variants
+        # depend on it), so the writer's output may not drift.
+        path = tmp_path / "pinned.trace"
+        self.pinned_trace().save(path, **options)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        loaded = Trace.load(path)
+        assert loaded.per_thread == self.pinned_trace().per_thread
+        again = tmp_path / "again.trace"
+        loaded.save(again, **options)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_failed_save_leaves_no_trace(self, tmp_path):
+        # Thread 1's chunk encodes; thread 2's zero-byte access does not.
+        bad = Trace(per_thread={
+            1: [TraceEvent(WRITE, 64, 8)], 2: [TraceEvent(WRITE, 64, 0)],
+        })
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match="access size"):
+            bad.save(path)
+        assert list(tmp_path.iterdir()) == []
+        self.small_trace().save(path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="access size"):
+            bad.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("per_thread, field", [
+        ({1 << 16: [TraceEvent(WRITE, 0x1000, 8)]}, "thread id"),
+        ({0: [TraceEvent(WRITE, 0x1000, 8, gap=1 << 32)]}, "gap"),
+        ({0: [TraceEvent(SYNC, 1 << 64, sync_name="Acquire:L")]},
+         "sync order"),
+        ({0: [TraceEvent(WRITE, -8, 8)]}, "address"),
+        ({0: [TraceEvent(SYNC, 1, sync_name="L" * (1 << 16))]}, "sync name"),
+    ])
+    def test_writer_names_a_field_its_record_cannot_hold(
+        self, tmp_path, per_thread, field
+    ):
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match=field):
+            Trace(per_thread=per_thread).save(path)
+        assert not path.exists()
+
 
 class TestCli:
     def test_list(self, capsys):
@@ -160,10 +237,32 @@ class TestInputErrors:
         write = TraceEvent(WRITE, 0x1000, 8)
         join_7 = TraceEvent(SYNC, 1, sync_name="Join:7")
         spawn_0 = TraceEvent(SYNC, 1, sync_name="Spawn:0")
+        spawn_1 = TraceEvent(SYNC, 2, sync_name="Spawn:1")
+        acquire = TraceEvent(SYNC, 1, sync_name="Acquire:L")
+        read = TraceEvent(READ, 0x1000, 8)
         unreplayable = {
             "tid_4000": {4000: [write]},
             "join_absent": {0: [write, join_7]},
             "spawn_self": {0: [spawn_0, write]},
+            # Threads that no Spawn starts, that sync while not running,
+            # or that are spawned while running or joined while not.
+            "unspawned_root_1": {1: [write]},
+            "unspawned_3": {0: [write], 3: [write]},
+            "unspawned_2": {0: [], 2: [read]},
+            "sync_before_spawn": {0: [spawn_1], 1: [acquire, write]},
+            "sync_after_join": {
+                0: [TraceEvent(SYNC, 1, sync_name="Spawn:1"),
+                    TraceEvent(SYNC, 2, sync_name="Join:1")],
+                1: [TraceEvent(SYNC, 3, sync_name="Acquire:L"), write],
+            },
+            "spawn_twice": {
+                0: [TraceEvent(SYNC, 1, sync_name="Spawn:1"), spawn_1],
+                1: [write],
+            },
+            "join_before_spawn": {
+                0: [TraceEvent(SYNC, 1, sync_name="Join:1"), spawn_1],
+                1: [write],
+            },
         }
         for name, per_thread in unreplayable.items():
             paths[name] = root / f"{name}.trace"
@@ -173,7 +272,9 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "name", ["empty", "list", "jsonl", "header_cut", "payload_cut",
                  "missing", "past_2_63", "tid_4000", "join_absent",
-                 "spawn_self"],
+                 "spawn_self", "unspawned_root_1", "unspawned_3",
+                 "unspawned_2", "sync_before_spawn", "sync_after_join",
+                 "spawn_twice", "join_before_spawn"],
     )
     @pytest.mark.parametrize("json_out", [False, True])
     def test_analyze_unreadable_exits_2(self, traces, capsys, name, json_out):
