@@ -14,7 +14,7 @@ interleaving, and must stay silent on WAR races this detector reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.epoch import DEFAULT_LAYOUT, EpochLayout
 from ..core.exceptions import (
@@ -105,13 +105,3 @@ class VcRaceDetector(HbEngine):
         for exc in self.reported:
             kinds[exc.kind] = kinds.get(exc.kind, 0) + 1
         return kinds
-
-    @property
-    def metadata_locations(self) -> int:
-        """Number of locations carrying read/write vector metadata."""
-        return len(self._meta)
-
-    def metadata_entries(self) -> int:
-        """Total (tid, clock) entries across all locations — the space
-        cost CLEAN's single-epoch-per-location design avoids."""
-        return sum(len(m.reads) + len(m.writes) for m in self._meta.values())

@@ -268,10 +268,6 @@ class VectorClockBackend(DetectorBackend):
         except KeyError:
             raise MetadataError(f"unknown or dead thread id {tid}") from None
 
-    def epoch_of(self, tid: int) -> int:
-        """The thread's current epoch ``EPOCH(tid, vc[tid])``."""
-        return self.vc(tid).element(tid)
-
     def live_threads(self) -> List[int]:
         """Tids of all live threads."""
         return sorted(self._vcs)

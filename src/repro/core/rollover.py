@@ -84,11 +84,6 @@ class RolloverPolicy:
         return event
 
     @property
-    def total_cost(self) -> float:
-        """Total modelled cost of all resets so far."""
-        return sum(e.wait_cost + e.reset_cost for e in self.events)
-
-    @property
     def count(self) -> int:
         """Number of resets performed."""
         return len(self.events)

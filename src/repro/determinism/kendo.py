@@ -36,15 +36,9 @@ class KendoGate(ExecutionMonitor):
         self.admitted = 0
         #: number of veto decisions (a thread had to wait for its turn).
         self.vetoed = 0
-        self._materialize = False
 
     def attach(self, scheduler: Scheduler) -> None:
         self._scheduler = scheduler
-        # Under the scheduler's pre-refactor reference dispatch
-        # (``fused=False``) also restore this gate's original behaviour
-        # of materializing the counter dict per decision, so hot-path
-        # benchmarks measure the old stack faithfully.
-        self._materialize = not getattr(scheduler, "fused", True)
 
     def may_sync(self, tid: int, op: Op) -> bool:
         """True iff ``tid`` holds the deterministic turn.
@@ -54,15 +48,6 @@ class KendoGate(ExecutionMonitor):
         as the tie-breaker.
         """
         assert self._scheduler is not None, "gate used before attach()"
-        if self._materialize:
-            counters = self._scheduler.live_counters()
-            mine = (counters[tid], tid)
-            for other_tid, counter in counters.items():
-                if other_tid != tid and (counter, other_tid) < mine:
-                    self.vetoed += 1
-                    return False
-            self.admitted += 1
-            return True
         # Hot path: the gate is consulted for every parked sync op on
         # every scheduling step, so read the counters straight off the
         # thread records instead of materializing a dict.

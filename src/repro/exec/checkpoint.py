@@ -11,10 +11,11 @@ Records carry the store format version and the library version; a
 mismatch in either invalidates the entry (results produced by older
 code are recomputed, never trusted).
 
-Damaged records — unreadable files or non-JSON garbage — are not
-silently dropped: they are *quarantined* to ``<root>/quarantine/``
-alongside a ``.reason`` file so a flaky disk or a torn write leaves
-evidence, and counted in the ``checkpoint.corrupt`` telemetry counter.
+Damaged records — unreadable files, non-JSON garbage, or records the
+runner could not serve (see :func:`_malformed`) — are not silently
+dropped: they are *quarantined* to ``<root>/quarantine/`` alongside a
+``.reason`` file so a flaky disk or a torn write leaves evidence, and
+counted in the ``checkpoint.corrupt`` telemetry counter.
 Stale records (version/schema/config mismatches) are ordinary cache
 misses, not corruption, and stay in place to be overwritten.
 """
@@ -22,6 +23,7 @@ misses, not corruption, and stay in place to be overwritten.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -42,6 +44,43 @@ QUARANTINE_DIR = "quarantine"
 #: v3: telemetry span records are origin-relative and the payload may
 #: carry ``timelines`` (execution-timeline payloads for forensics).
 FORMAT_VERSION = 3
+
+#: The container type each telemetry entry must have when present.
+_TELEMETRY_SHAPE = {"metrics": dict, "kinds": dict, "sites": dict,
+                    "spans": list, "timelines": list}
+
+
+def _finite(value: Any) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _malformed(record: Dict[str, Any]) -> Optional[str]:
+    """Why a current-format record cannot be served, or ``None``.
+
+    Checks what :meth:`~repro.exec.runner.JobRunner.run` reads back: the
+    ``value``, the numeric bookkeeping fields, and the telemetry payload
+    down to the metric values and span records it merges.
+    """
+    if "value" not in record:
+        return "no value"
+    for key in ("attempts", "duration_s", "cpu_s"):
+        if key in record and not _finite(record[key]):
+            return f"{key} is not a finite number"
+    telemetry = record.get("telemetry") or {}
+    if not isinstance(telemetry, dict):
+        return "telemetry is not an object"
+    for key, kind in _TELEMETRY_SHAPE.items():
+        if telemetry.get(key) and not isinstance(telemetry[key], kind):
+            return f"telemetry {key} is not a {kind.__name__}"
+    for name, value in (telemetry.get("metrics") or {}).items():
+        if not (isinstance(value, dict) or _finite(value)):
+            return f"telemetry metric {name!r} is not a number or histogram"
+    for span in telemetry.get("spans") or ():
+        if not isinstance(span, dict) or not isinstance(
+            span.get("attrs") or {}, dict
+        ):
+            return "telemetry span record is not an object"
+    return None
 
 
 class CheckpointStore:
@@ -98,10 +137,10 @@ class CheckpointStore:
     def load(self, job: Job) -> Optional[Dict[str, Any]]:
         """The stored record for ``job``, or ``None`` on any miss.
 
-        Unreadable or non-JSON files are quarantined (see module docs)
-        and counted in :attr:`corrupt_records`; schema/version
-        mismatches and (paranoia) records whose fn/config don't match
-        the job are plain misses.
+        Unreadable, non-JSON or malformed records are quarantined (see
+        module docs) and counted in :attr:`corrupt_records`;
+        schema/version mismatches and (paranoia) records whose fn/config
+        don't match the job are plain misses.
         """
         path = self.path(job.job_id)
         try:
@@ -123,6 +162,10 @@ class CheckpointStore:
             or record.get("fn") != job.fn
             or record.get("config") != job.config
         ):
+            return None
+        problem = _malformed(record)
+        if problem is not None:
+            self._quarantine(job, f"malformed checkpoint record: {problem}")
             return None
         return record
 

@@ -86,11 +86,6 @@ class Cache:
         """Total lookups."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of lookups that missed."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def resident_lines(self) -> Dict[int, str]:
         """All cached lines and their states (for tests)."""
         out: Dict[int, str] = {}

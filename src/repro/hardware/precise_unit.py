@@ -26,7 +26,7 @@ comes out of the workload's real sharing structure, not a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 from ..core.epoch import DEFAULT_LAYOUT, EpochLayout
 from .hierarchy import MemoryHierarchy
@@ -50,10 +50,6 @@ class PreciseStats:
     read_meta_updates: int = 0
     inflations: int = 0
     read_vc_scans: int = 0
-
-    @property
-    def inflation_rate(self) -> float:
-        return self.inflations / self.accesses if self.accesses else 0.0
 
 
 @dataclass

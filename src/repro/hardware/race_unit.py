@@ -22,7 +22,7 @@ is exposed (Section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.epoch import DEFAULT_LAYOUT, EpochLayout
 from .hierarchy import MemoryHierarchy
@@ -140,9 +140,6 @@ class RaceCheckUnit:
         """A synchronization operation advanced the thread's main element."""
         tid, clock = self._core_thread[core]
         self._core_thread[core] = (tid, clock + 1)
-
-    def thread_of(self, core: int) -> tuple:
-        return self._core_thread[core]
 
     # -- the check itself -----------------------------------------------------------
 

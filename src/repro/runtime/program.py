@@ -52,7 +52,6 @@ class Program:
         max_steps: int = 50_000_000,
         counter_cost: Optional[Callable] = None,
         raise_on_race: bool = False,
-        fused: bool = True,
         recovery: Optional[object] = None,
         timeline: Optional[ExecutionMonitor] = None,
     ) -> ExecutionResult:
@@ -60,10 +59,8 @@ class Program:
 
         Each call builds a fresh scheduler and memory, so repeated runs
         are independent — run the same program under different policies
-        or seeds to explore interleavings.  ``fused=False`` selects the
-        pre-refactor call-every-monitor dispatch (equivalence testing
-        and benchmarking only).  ``recovery`` — a mode string or
-        :class:`~repro.runtime.recovery.RecoveryPolicy` — enables SFR
+        or seeds to explore interleavings.  ``recovery`` — a mode string
+        or :class:`~repro.runtime.recovery.RecoveryPolicy` — enables SFR
         write buffering and race-exception recovery.  ``timeline`` — a
         :class:`~repro.obs.timeline.TimelineRecorder` — is appended to
         the monitor stack so the run's execution timeline lands on it.
@@ -77,7 +74,6 @@ class Program:
             max_threads=max_threads,
             max_steps=max_steps,
             counter_cost=counter_cost,
-            fused=fused,
             recovery=recovery,
         )
         scheduler.start(self.main, *self.args)

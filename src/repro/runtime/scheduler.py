@@ -9,17 +9,13 @@ the race detector, the Kendo gate, the trace recorder and the SFR oracle
 are all monitors.
 
 Monitor dispatch is *fused*: at construction the scheduler compiles, for
-every hook, the chain of monitors that actually override it, so a hook
-nobody overrides costs nothing per event (the pre-refactor dispatch
-called every monitor's no-op base hook on every access).  Memory is
+every hook, the chain of monitors that actually override it, in stack
+order, so a hook nobody overrides costs nothing per event.  Memory is
 observed through one hook pair: each operation builds one
 :class:`~repro.core.events.AccessEvent` — carrying tid, address, size,
 direction, privacy, the thread's SFR ordinal and deterministic clock —
 and hands it to :meth:`ExecutionMonitor.before_access` and
 :meth:`ExecutionMonitor.after_access`.
-``Scheduler(fused=False)`` restores the pre-refactor call-every-monitor
-dispatch, kept as the reference implementation for the equivalence
-property tests and the ``benchmarks/bench_hotpath.py`` baseline.
 
 Blocking semantics (locks, barriers, condition variables, semaphores,
 join) are implemented here: an operation that cannot complete *parks* its
@@ -100,7 +96,6 @@ class _ThreadRecord:
     output: List[Any] = field(default_factory=list)
     result: Any = None
     parent: Optional[int] = None
-    reacquire_after_cond: Optional[Tuple[Condition, Lock]] = None
     # The generator's origin, kept so recovery can recreate and replay it.
     fn: Optional[Callable[..., Any]] = None
     fn_args: Tuple[Any, ...] = ()
@@ -334,12 +329,10 @@ def _overrides(monitor: ExecutionMonitor, name: str) -> bool:
 class Scheduler:
     """Interleaves generator threads one operation at a time.
 
-    ``fused=True`` (the default) compiles the monitor dispatch at
-    construction: each hook calls only the monitors overriding it, and
-    memory operations flow as single :class:`~repro.core.events.AccessEvent`
-    objects.  ``fused=False`` is the pre-refactor reference dispatch
-    (every monitor's hook called on every event), kept for equivalence
-    tests and benchmarking.
+    The monitor dispatch is compiled at construction: each hook calls
+    only the monitors overriding it, in stack order, and memory
+    operations flow as single :class:`~repro.core.events.AccessEvent`
+    objects.
     """
 
     def __init__(
@@ -350,7 +343,6 @@ class Scheduler:
         max_threads: int = 64,
         max_steps: int = 50_000_000,
         counter_cost: Optional[Callable[[Op], int]] = None,
-        fused: bool = True,
         recovery: Optional[Any] = None,
     ) -> None:
         self.memory = memory if memory is not None else SharedMemory()
@@ -359,17 +351,12 @@ class Scheduler:
         self.max_threads = max_threads
         self.max_steps = max_steps
         self.counter_cost = counter_cost if counter_cost is not None else _default_cost
-        self.fused = fused
         self.recovery = None
         if recovery is not None:
             from .recovery import RecoveryManager, RecoveryPolicy
 
             policy_obj = RecoveryPolicy.coerce(recovery)
             if policy_obj is not None:
-                if not fused:
-                    raise ValueError(
-                        "recovery requires the fused dispatch (fused=True)"
-                    )
                 self.recovery = RecoveryManager(self, policy_obj)
         self._threads: Dict[int, _ThreadRecord] = {}
         # Records of every thread that ever ran; tid reuse keeps only the
@@ -388,34 +375,21 @@ class Scheduler:
 
     # -- dispatch compilation --------------------------------------------------
 
-    def add_monitor(self, monitor: ExecutionMonitor) -> None:
-        """Adopt ``monitor`` mid-setup and recompile the dispatch tables."""
-        self.monitors.append(monitor)
-        monitor.attach(self)
-        self._compile_dispatch()
-
     def _compile_dispatch(self) -> None:
-        """Build per-hook call chains from the current monitor stack.
+        """Build per-hook call chains from the monitor stack.
 
-        Fused mode keeps, per hook, only the monitors overriding it.
-        Unfused mode keeps every monitor (the pre-refactor semantics:
-        the base class's no-op hook is still a call).  Either way the
-        chains are tuples of bound methods — iteration is allocation-
+        Each chain keeps, in stack order, only the monitors overriding
+        its hook, as a tuple of bound methods — iteration is allocation-
         free on the hot path.
         """
         monitors = self.monitors
 
         def chain(name: str) -> Tuple[Callable, ...]:
-            if self.fused:
-                return tuple(
-                    getattr(m, name) for m in monitors if _overrides(m, name)
-                )
-            return tuple(getattr(m, name) for m in monitors)
+            return tuple(
+                getattr(m, name) for m in monitors if _overrides(m, name)
+            )
 
-        self._chains: Dict[str, Tuple[Callable, ...]] = {
-            name: chain(name) for name in _CHAINED_HOOKS
-        }
-        c = self._chains
+        c = {name: chain(name) for name in _CHAINED_HOOKS}
         self._c_thread_start = c["on_thread_start"]
         self._c_thread_exit = c["on_thread_exit"]
         self._c_join = c["on_join"]
@@ -443,13 +417,6 @@ class Scheduler:
             handlers[Read] = Scheduler._do_read_buffered
             handlers[Write] = Scheduler._do_write_buffered
             handlers[AtomicRMW] = Scheduler._do_rmw_buffered
-        if not self.fused:
-            # The reference mode also restores the pre-refactor support
-            # paths (per-thread sort + call-per-candidate feasibility,
-            # isinstance-chain op classification), so benchmarks compare
-            # against the hot path as it actually was, end to end.
-            self._schedulable = self._schedulable_legacy
-            self._feasible = self._feasible_legacy
         self._handlers = handlers
 
     # -- public API -----------------------------------------------------------
@@ -474,19 +441,15 @@ class Scheduler:
         race: Optional[RaceException] = None
         recovery = self.recovery
         try:
-            if self.fused:
-                if recovery is not None:
-                    while self._threads:
-                        try:
-                            self._step()
-                        except RaceException as exc:
-                            if not recovery.handle(exc):
-                                raise
-                else:
-                    while self._threads:
+            if recovery is not None:
+                while self._threads:
+                    try:
                         self._step()
+                    except RaceException as exc:
+                        if not recovery.handle(exc):
+                            raise
             else:
-                while self._live_tids():
+                while self._threads:
                     self._step()
         except RaceException as exc:
             race = exc
@@ -517,18 +480,11 @@ class Scheduler:
         """Current deterministic counter of live thread ``tid``."""
         return self._threads[tid].det_counter
 
-    def live_counters(self) -> Dict[int, int]:
-        """Deterministic counters of all live threads."""
-        return {t: r.det_counter for t, r in self._threads.items()}
-
     def region_of(self, tid: int) -> int:
         """Current SFR ordinal of live thread ``tid`` (bumps per sync)."""
         return self._threads[tid].region
 
     # -- scheduling loop -------------------------------------------------------
-
-    def _live_tids(self) -> List[int]:
-        return sorted(self._threads)
 
     def _all_records(self) -> Dict[int, _ThreadRecord]:
         return dict(self._records_ever)
@@ -570,25 +526,6 @@ class Scheduler:
                     ready.append(tid)
         ready.sort()
         return ready
-
-    def _schedulable_legacy(self) -> List[int]:
-        ready = []
-        for tid in sorted(self._threads):
-            record = self._threads[tid]
-            if record.status is ThreadStatus.RUNNABLE:
-                ready.append(tid)
-            elif record.pending is not None and self._can_complete(record):
-                ready.append(tid)
-        return ready
-
-    def _can_complete(self, record: _ThreadRecord) -> bool:
-        op = record.pending
-        assert op is not None
-        if not self._feasible(record, op):
-            return False
-        if op.is_sync and not self._gate_open(record.tid, op):
-            return False
-        return True
 
     def _gate_open(self, tid: int, op: Op) -> bool:
         for gate in self._c_may_sync:
@@ -640,23 +577,6 @@ class Scheduler:
         checker = self._FEASIBILITY.get(type(op))
         return True if checker is None else checker(self, op)
 
-    def _feasible_legacy(self, record: _ThreadRecord, op: Op) -> bool:
-        if isinstance(op, Acquire):
-            return not op.lock.held
-        if isinstance(op, _Reacquire):
-            return not op.lock.held
-        if isinstance(op, BarrierWait):
-            return True
-        if isinstance(op, _BarrierSleep):
-            return op.barrier.generation > op.generation
-        if isinstance(op, _CondSleep):
-            return op.woken
-        if isinstance(op, SemWait):
-            return op.sem.value > 0
-        if isinstance(op, Join):
-            return op.tid in self._finished_unjoined
-        return True
-
     # -- generator driving -----------------------------------------------------
 
     def _advance_generator(self, record: _ThreadRecord) -> None:
@@ -672,17 +592,12 @@ class Scheduler:
             raise TypeError(
                 f"thread {record.tid} yielded {op!r}; expected an Op instance"
             )
-        if self._can_complete_fresh(record, op):
+        if self._feasible(record, op) and (
+            not op.is_sync or self._gate_open(record.tid, op)
+        ):
             self._complete(record, op)
         else:
             self._park(record, op)
-
-    def _can_complete_fresh(self, record: _ThreadRecord, op: Op) -> bool:
-        if not self._feasible(record, op):
-            return False
-        if op.is_sync and not self._gate_open(record.tid, op):
-            return False
-        return True
 
     def _park(self, record: _ThreadRecord, op: Op) -> None:
         record.pending = op
@@ -726,7 +641,7 @@ class Scheduler:
         for hook in self._c_sync_commit:
             hook(record.tid, op)
 
-    # -- memory operations (both dispatch modes; only the chains differ) ------
+    # -- memory operations -----------------------------------------------------
 
     def _do_read(self, record: _ThreadRecord, op: Read) -> None:
         before = self._ev_before
@@ -797,7 +712,7 @@ class Scheduler:
 
     # -- memory operations (SFR write-buffered variants, recovery mode) ---------
     #
-    # Same monitor dispatch as the fused handlers, but stores land in the
+    # Same monitor dispatch as the handlers above, but stores land in the
     # thread's per-SFR buffer (published at the next sync commit) and
     # loads overlay the thread's own buffer — read-your-writes inside the
     # SFR, invisible to every other thread.  Race checks are unchanged:

@@ -554,16 +554,6 @@ class Trace:
         """Total number of events across all threads."""
         return sum(len(v) for v in self.per_thread.values())
 
-    @property
-    def total_accesses(self) -> int:
-        """Total number of memory (non-sync) events."""
-        return sum(
-            1
-            for events in self.per_thread.values()
-            for e in events
-            if e.kind != SYNC
-        )
-
     def shared_accesses(self) -> int:
         """Memory events not marked private."""
         return sum(
@@ -721,14 +711,6 @@ class StreamingTrace:
                 yield _decode_chunk(
                     fh.read(header.stored_len), header, self._path
                 )
-
-    def events(self, tid: int) -> List[TraceEvent]:
-        """Materialize thread ``tid``'s events (compatibility helper)."""
-        return list(self.iter_events(tid))
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        for tid in self.thread_ids():
-            yield from self.iter_events(tid)
 
     @property
     def total_events(self) -> int:

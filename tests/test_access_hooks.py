@@ -1,11 +1,15 @@
-"""The memory hooks under both scheduler dispatch modes.
+"""The memory hooks under the scheduler's compiled dispatch.
 
 Every memory operation reaches monitors as one ``AccessEvent`` through
-``before_access``/``after_access``.  ``Scheduler(fused=False)``, the
-reference dispatch, calls every monitor's hooks instead of only the
-overriding ones.  A recorder that logs each hook call it sees must log
-the same sequence under both modes, on random programs mixing shared,
-private and atomic accesses with lock-protected regions.
+``before_access``/``after_access``, and the scheduler calls only the
+monitors that override a hook.  On random programs mixing shared,
+private and atomic accesses with lock-protected regions, recorders that
+log each hook call they see pin three metamorphic properties:
+
+* monitors that override nothing, or only sync hooks, change no log,
+  verdict or outcome wherever they sit in the stack;
+* a recorder subclass that inherits its hooks logs what its base logs;
+* within each event, hooks are called in stack order.
 """
 
 from hypothesis import given, settings
@@ -94,43 +98,105 @@ def _program(scripts):
     return Program(main)
 
 
-def _log(scripts, seed, fused):
+class InheritingRecorder(Recorder):
+    """Defines no hook of its own: every hook comes from :class:`Recorder`."""
+
+
+class SyncOnly(ExecutionMonitor):
+    """Overrides only synchronization hooks, and does nothing in them."""
+
+    def on_acquire(self, tid, lock):
+        pass
+
+    def on_release(self, tid, lock):
+        pass
+
+    def may_sync(self, tid, op):
+        return True
+
+    def on_sync_commit(self, tid, op):
+        pass
+
+
+#: Inert monitors to insert: (position in the stack, kind).
+inserts = st.lists(
+    st.tuples(st.integers(0, 4), st.sampled_from(("plain", "sync_only"))),
+    max_size=4,
+)
+
+
+def _log(scripts, seed, inert=(), first=Recorder, middle=False):
+    """Run ``scripts`` under recorders around a CLEAN stack.
+
+    ``inert`` inserts ``ExecutionMonitor()``s and :class:`SyncOnly`
+    monitors at the given positions; ``first`` is the top recorder's
+    class; ``middle`` adds a recorder between the detector and the gate.
+    """
     log = []
+    monitors = [
+        first("first", log),
+        CleanMonitor(detector=CleanDetector(max_threads=MAX_THREADS)),
+        KendoGate(),
+        Recorder("last", log),
+    ]
+    if middle:
+        monitors.insert(2, Recorder("middle", log))
+    for position, kind in inert:
+        monitors.insert(
+            position, ExecutionMonitor() if kind == "plain" else SyncOnly()
+        )
     result = _program(scripts).run(
         policy=RandomPolicy(seed),
-        monitors=[
-            Recorder("first", log),
-            CleanMonitor(detector=CleanDetector(max_threads=MAX_THREADS)),
-            KendoGate(),
-            Recorder("last", log),
-        ],
+        monitors=monitors,
         max_threads=MAX_THREADS,
-        fused=fused,
     )
     race = None if result.race is None else str(result.race)
     return log, race, result.fingerprint()
 
 
-class TestFusedEqualsUnfused:
+class TestDispatch:
     @settings(max_examples=60, deadline=None)
+    @given(scripts=programs, seed=st.integers(0, 10_000), inert=inserts)
+    def test_recorded_hook_calls_match(self, scripts, seed, inert):
+        """Monitors that override nothing, or only sync hooks, change no
+        recorded memory hook call, verdict or outcome wherever they sit
+        in the stack."""
+        plain = _log(scripts, seed)
+        assert _log(scripts, seed, inert=inert) == plain
+        assert plain[0], "every program performs at least one access"
+
+    @settings(max_examples=30, deadline=None)
     @given(scripts=programs, seed=st.integers(0, 10_000))
-    def test_recorded_hook_calls_match(self, scripts, seed):
-        fused = _log(scripts, seed, fused=True)
-        unfused = _log(scripts, seed, fused=False)
-        assert fused == unfused
-        assert fused[0], "every program performs at least one access"
+    def test_inherited_hooks_are_dispatched(self, scripts, seed):
+        assert _log(scripts, seed, first=InheritingRecorder) == _log(
+            scripts, seed
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(scripts=programs, seed=st.integers(0, 10_000))
+    def test_calls_follow_stack_order(self, scripts, seed):
+        """Each hook call reaches the monitors top to bottom; only the
+        race's own call stops at the detector, after the top recorder."""
+        log, race, _ = _log(scripts, seed, middle=True)
+        order = ["first", "middle", "last"]
+        calls = [log[i:i + 3] for i in range(0, len(log), 3)]
+        for index, call in enumerate(calls):
+            assert [entry[0] for entry in call] == order[:len(call)]
+            assert len({entry[1:] for entry in call}) == 1
+            if len(call) < 3:
+                assert race is not None and len(call) == 1
+                assert index == len(calls) - 1
 
     def test_event_values_per_phase(self):
         # A read's value is known only after the load; a write's before
         # hook already sees the value about to be stored.
         scripts = [[("read", 0, 8, False), ("write", 0, 8, False)]]
-        for fused in (True, False):
-            log, race, _ = _log(scripts, 0, fused=fused)
-            assert race is None
-            seen = [(hook, is_write, value)
-                    for name, hook, _t, _a, _s, is_write, value in log
-                    if name == "first"]
-            assert seen == [
-                ("before", False, None), ("after", False, 0),
-                ("before", True, 1), ("after", True, 1),
-            ]
+        log, race, _ = _log(scripts, 0)
+        assert race is None
+        seen = [(hook, is_write, value)
+                for name, hook, _t, _a, _s, is_write, value in log
+                if name == "first"]
+        assert seen == [
+            ("before", False, None), ("after", False, 0),
+            ("before", True, 1), ("after", True, 1),
+        ]

@@ -9,9 +9,10 @@ Four groups, matching the hot-path refactor's guarantees:
 2. **Binary trace format** — round trips, rejection of files without
    the magic bytes, and the streaming reader's equivalence to the
    in-memory one.
-3. **Verdict invariance** — the fused dispatch + same-epoch-filter hot
-   path raises a race exception iff the pre-refactor reference stack
-   (``fused=False``, filter off) does, with identical provenance.
+3. **Verdict invariance** — the live CLEAN stack, with the same-epoch
+   filter on and off, raises a race exception iff the full
+   vector-clock detector sees a WAW or RAW race in the same execution,
+   and names the first one.
 4. **Offline analysis equivalence** — scalar and ``check_block`` batch
    trace analysis agree on every verdict, racing pair and ``clean.*``
    counter total, and race-free replays are counter-exact
@@ -26,6 +27,7 @@ from repro.analysis import analyze_trace
 from repro.clean import CleanMonitor, clean_stack
 from repro.core import CleanDetector
 from repro.core.events import stable_sync_id
+from repro.determinism import KendoGate
 from repro.determinism.counters import PreciseCounter
 from repro.hardware import SimConfig, simulate_trace
 from repro.obs import MetricsRegistry
@@ -43,6 +45,12 @@ from repro.runtime import (
     open_trace,
 )
 from repro.workloads.randprog import make_random_program
+from tests._oracle import (
+    Oracle,
+    OracleMonitor,
+    assert_names_first_race,
+    race_fields,
+)
 
 MAX_THREADS = 8
 
@@ -246,12 +254,12 @@ class TestStreamingTrace:
 
 
 # ---------------------------------------------------------------------------
-# 3. Verdict invariance of the fused + filtered hot path
+# 3. Live verdicts against the vector-clock oracle
 # ---------------------------------------------------------------------------
 
 
-def run_stack(program, sseed, fused, fastpath):
-    """One CLEAN execution on either the fused or the reference stack."""
+def run_stack(program, sseed, fastpath):
+    """One CLEAN execution with the same-epoch filter on or off."""
     monitors, clean, _gate = clean_stack(
         max_threads=MAX_THREADS, fastpath=fastpath
     )
@@ -260,9 +268,23 @@ def run_stack(program, sseed, fused, fastpath):
         monitors=monitors,
         max_threads=MAX_THREADS,
         counter_cost=PreciseCounter(),
-        fused=fused,
     )
     return result, clean
+
+
+def run_oracle(program, sseed):
+    """The same execution under the vector-clock oracle, which records
+    every race and never stops the run; Kendo orders the syncs as in
+    :func:`run_stack`, so the two share every step up to CLEAN's race.
+    The oracle is fed by its own adapter, not by ``CleanMonitor``."""
+    oracle = Oracle(max_threads=MAX_THREADS)
+    program.run(
+        policy=RandomPolicy(sseed),
+        monitors=[OracleMonitor(oracle), KendoGate()],
+        max_threads=MAX_THREADS,
+        counter_cost=PreciseCounter(),
+    )
+    return oracle.records
 
 
 program_seeds = st.integers(min_value=0, max_value=10_000)
@@ -271,33 +293,33 @@ race_probs = st.sampled_from([0.0, 0.2, 0.5, 0.9])
 
 
 class TestVerdictInvariance:
-    """The optimized hot path (fused dispatch + same-epoch filter) must
-    be observationally equivalent to the pre-refactor stack: same
-    race/no-race verdict on the same seeded schedule, and when a race is
-    reported, identical (kind, tid, address) provenance."""
+    """The live CLEAN stack, with the same-epoch filter on and off,
+    raises a race exception iff the full vector-clock detector sees a
+    WAW or RAW race in the same execution, and names the first one."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(pseed=program_seeds, sseed=schedule_seeds, prob=race_probs)
-    def test_fused_filtered_equals_reference(self, pseed, sseed, prob):
-        program, _plan = make_random_program(
-            pseed, n_threads=3, ops_per_thread=10, race_probability=prob
-        )
-        new, _ = run_stack(program, sseed, fused=True, fastpath=True)
-        old, _ = run_stack(program, sseed, fused=False, fastpath=False)
-        if old.race is None:
-            assert new.race is None, (
-                f"fused+filtered stack raised {new.race!r} where the "
-                f"reference stack completed"
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pseed=st.integers(0, 2**20),
+        sseed=st.integers(0, 2**20),
+        threads=st.sampled_from((3, 4)),
+        ops=st.sampled_from((10, 30)),
+        prob=st.sampled_from((0.0, 0.05, 0.3)),
+    )
+    def test_live_verdict_matches_vc_oracle(
+        self, pseed, sseed, threads, ops, prob
+    ):
+        def program():
+            return make_random_program(
+                pseed, n_threads=threads, ops_per_thread=ops,
+                race_probability=prob,
+            )[0]
+
+        records = run_oracle(program(), sseed)
+        for fastpath in (True, False):
+            result, _clean = run_stack(program(), sseed, fastpath=fastpath)
+            assert_names_first_race(
+                records, race_fields(result.race), f"fastpath={fastpath}"
             )
-        else:
-            assert new.race is not None, (
-                f"reference stack raised {old.race!r} but the "
-                f"fused+filtered stack stayed silent"
-            )
-            assert new.race.kind == old.race.kind
-            assert new.race.accessing_tid == old.race.accessing_tid
-            assert new.race.address == old.race.address
-            assert new.race.prior_writer_tid == old.race.prior_writer_tid
 
     @settings(max_examples=20, deadline=None)
     @given(pseed=program_seeds, sseed=schedule_seeds)
@@ -307,8 +329,8 @@ class TestVerdictInvariance:
         program, _plan = make_random_program(
             pseed, n_threads=3, ops_per_thread=10, race_probability=0.2
         )
-        on, clean_on = run_stack(program, sseed, fused=True, fastpath=True)
-        off, clean_off = run_stack(program, sseed, fused=True, fastpath=False)
+        on, clean_on = run_stack(program, sseed, fastpath=True)
+        off, clean_off = run_stack(program, sseed, fastpath=False)
         assert clean_on.fastpath_enabled
         assert not clean_off.fastpath_enabled
         assert (on.race is None) == (off.race is None)

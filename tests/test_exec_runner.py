@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exec import CheckpointStore, Job, JobRunner, resolve
 from repro.exec.job import InjectedFailure, run_job
@@ -80,6 +82,103 @@ class TestCheckpointStore:
         store.discard(jobs[0])
         assert jobs[0] not in store and jobs[1] in store
         assert store.clear() == 2
+
+
+def _recorded(tmp_path):
+    """A job and the record a telemetry-collecting run stored for it."""
+    job = _job("clean_workload", seed=3, race_probability=0.3)
+    store = CheckpointStore(tmp_path / "seed")
+    JobRunner(
+        store=store, registry=MetricsRegistry(), tracer=Tracer(),
+        profile_sites=True,
+    ).run([job])
+    return job, json.loads(store.path(job.job_id).read_text())
+
+
+def _serve_or_rerun(root, job, record):
+    """Write ``record`` as ``job``'s checkpoint and run ``job`` once."""
+    store = CheckpointStore(root)
+    store.root.mkdir(parents=True, exist_ok=True)
+    store.path(job.job_id).write_text(json.dumps(record))
+    runner = JobRunner(
+        store=store, registry=MetricsRegistry(), tracer=Tracer(),
+        profile_sites=True,
+    )
+    (result,) = runner.run([job])
+    assert result.ok
+    return runner, store, result
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestCheckpointRecordLoad:
+    """A checkpoint record that is valid JSON but damaged is served or
+    re-run, never crashes ``JobRunner.run``."""
+
+    @pytest.mark.parametrize("damage", [
+        "value_renamed", "attempts_str", "duration_null", "telemetry_str",
+        "metrics_list",
+    ])
+    def test_damaged_record_is_quarantined_and_rerun(self, tmp_path, damage):
+        job, record = _recorded(tmp_path)
+        if damage == "value_renamed":
+            record["valeu"] = record.pop("value")
+        elif damage == "attempts_str":
+            record["attempts"] = "x"
+        elif damage == "duration_null":
+            record["duration_s"] = None
+        elif damage == "telemetry_str":
+            record["telemetry"] = "x"
+        else:
+            record["telemetry"] = {"metrics": [1]}
+        runner, store, result = _serve_or_rerun(tmp_path / "s", job, record)
+        assert not result.cached
+        assert runner.stats["corrupt_checkpoints"] == 1
+        assert store.quarantined() == 1
+        assert "malformed" in store.quarantine_path(job.job_id).with_suffix(
+            ".reason"
+        ).read_text()
+        assert store.load(job) is not None  # the re-run stored a good one
+
+    def test_verdict_cache_records_without_attempts_load(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        job = _job("double", x=1)
+        store.store(job, {"verdict": "racy"})
+        assert store.load(job)["value"] == {"verdict": "racy"}
+        assert store.corrupt_records == 0
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_damaged_records_never_crash_the_runner(self, tmp_path, data):
+        job, record = _recorded(tmp_path)
+        telemetry = record["telemetry"]
+        for _ in range(data.draw(st.integers(1, 3))):
+            action = data.draw(st.sampled_from(("drop", "swap", "nested")))
+            if action == "drop" and record:
+                record.pop(data.draw(st.sampled_from(sorted(record))))
+            elif action == "swap" and record:
+                record[data.draw(st.sampled_from(sorted(record)))] = (
+                    data.draw(json_values)
+                )
+            elif action == "nested" and telemetry:
+                telemetry[data.draw(st.sampled_from(sorted(telemetry)))] = (
+                    data.draw(json_values)
+                )
+        root = tmp_path / f"s{data.draw(st.integers(0, 2**32))}"
+        runner, store, result = _serve_or_rerun(root, job, record)
+        if result.cached:
+            assert store.corrupt_records == 0
+        else:
+            assert result.attempts == 1
 
 
 class TestRunnerInline:

@@ -495,25 +495,28 @@ class TestWorkerPipeline:
 
 
 # ---------------------------------------------------------------------------
-# fused vs unfused dispatch must not change telemetry (satellite)
+# monitors that override no hook must not change telemetry
 
 
 class TestFusedTelemetry:
-    def _counters(self, fused):
+    def _counters(self, inert):
         from repro.obs import TelemetryMonitor
-        from repro.runtime import RandomPolicy
+        from repro.runtime import ExecutionMonitor, RandomPolicy
         from repro.workloads import make_random_program
 
         registry = MetricsRegistry()
         program, _ = make_random_program(11)
         monitor = TelemetryMonitor(registry=registry)
-        program.run(
-            policy=RandomPolicy(11), monitors=[monitor], fused=fused
-        )
+        monitors = [monitor]
+        for _ in range(inert):
+            monitors = [ExecutionMonitor()] + monitors + [ExecutionMonitor()]
+        program.run(policy=RandomPolicy(11), monitors=monitors)
         return registry.snapshot()
 
-    def test_identical_counters_fused_vs_unfused(self):
-        assert self._counters(fused=True) == self._counters(fused=False)
+    def test_identical_counters_with_inert_monitors(self):
+        plain = self._counters(inert=0)
+        assert plain
+        assert self._counters(inert=3) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,6 @@ class TestPolicy:
         with pytest.raises(ValueError):
             RecoveryPolicy(max_retries=-1)
 
-    def test_recovery_requires_fused_dispatch(self):
-        with pytest.raises(ValueError, match="fused"):
-            racy_increment_program().run(fused=False, recovery="abort")
-
 
 class TestRollbackRetry:
     def test_racy_program_completes(self):

@@ -32,7 +32,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import _MonitorReplay, _Plan, analyze_trace
-from repro.baselines.vcdetector import VcRaceDetector
 from repro.clean import CleanMonitor
 from repro.core import CleanDetector
 from repro.core.epoch import EpochLayout
@@ -40,6 +39,7 @@ from repro.core.exceptions import RaceException
 from repro.determinism.counters import PreciseCounter
 from repro.runtime import RandomPolicy, TraceRecorder
 from repro.workloads.randprog import make_random_program
+from tests._oracle import Oracle, assert_names_first_race
 
 
 def record_only(program, sseed):
@@ -246,33 +246,11 @@ class TestKernelProperty:
 # -- both lanes against the oracle --------------------------------------------
 
 
-class _Oracle(VcRaceDetector):
-    """The full vector-clock detector, recording every race it sees
-    together with the ordinal of the access that found it."""
-
-    def __init__(self, max_threads):
-        super().__init__(max_threads=max_threads, record_only=True)
-        self.access = 0
-        self.records = []
-
-    def check_read(self, tid, address, size=1):
-        self.access += 1
-        super().check_read(tid, address, size)
-
-    def check_write(self, tid, address, size=1):
-        self.access += 1
-        super().check_write(tid, address, size)
-
-    def _report(self, exc):
-        self.records.append((self.access, exc))
-        super()._report(exc)
-
-
 def _oracle_records(trace):
     """The oracle's records, replayed in the scalar analysis order (a
     live-run oracle can see a WAR where replay sees a RAW)."""
     plan = _Plan(trace)
-    oracle = _Oracle(max_threads=max(plan.min_max_threads(), 2))
+    oracle = Oracle(max_threads=max(plan.min_max_threads(), 2))
     monitor = CleanMonitor(detector=oracle)
     monitor.sites = None
     _MonitorReplay(plan, monitor, batch=False).run()
@@ -303,35 +281,12 @@ class TestOracle:
         )
         trace = record_only(program, sseed)
         records = _oracle_records(trace)
-        first = next(
-            (record for record in records if record[1].kind != "WAR"), None
-        )
         with mock.patch.object(CleanDetector, "BATCH_MIN", batch_min):
             reports = [
                 analyze_trace(trace, mode=mode) for mode in ("scalar", "batch")
             ]
         for report in reports:
-            assert report.racy == (first is not None), report.mode
-            if first is None:
-                continue
-            race = report.race
-            access, expected = first
-            assert (race["kind"], race["accessing_tid"]) == (
-                expected.kind, expected.accessing_tid
-            )
-            assert (
-                race["address"] <= expected.address
-                < race["address"] + race["size"]
-            )
-            seen = {
-                (exc.kind, exc.prior_writer_tid, exc.prior_writer_clock)
-                for ordinal, exc in records
-                if ordinal == access
-            }
-            assert (
-                race["kind"], race["prior_writer_tid"],
-                race["prior_writer_clock"],
-            ) in seen
+            assert_names_first_race(records, report.race, report.mode)
 
     def test_both_join_sides_run(self):
         """With a low ``BATCH_MIN`` the random programs reach both the
