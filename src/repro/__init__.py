@@ -35,29 +35,19 @@ Quickstart::
     print(result.race)                # -> WAW race at ...
 """
 
-from .clean import CleanMonitor, clean_stack, run_clean
-from .core import (
-    CleanDetector,
-    CleanError,
-    RaceException,
-    RawRaceException,
-    WawRaceException,
-)
-from .obs import MetricsRegistry, TelemetryMonitor, Tracer
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    ".clean": ["CleanMonitor", "clean_stack", "run_clean"],
+    ".core": [
+        "CleanDetector", "CleanError", "RaceException", "RawRaceException",
+        "WawRaceException",
+    ],
+    ".obs": ["MetricsRegistry", "TelemetryMonitor", "Tracer"],
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "run_clean",
-    "clean_stack",
-    "CleanMonitor",
-    "CleanDetector",
-    "CleanError",
-    "MetricsRegistry",
-    "RaceException",
-    "RawRaceException",
-    "TelemetryMonitor",
-    "Tracer",
-    "WawRaceException",
-    "__version__",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__.append("__version__")

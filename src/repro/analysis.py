@@ -9,22 +9,25 @@ rebuilds the execution's happens-before relation from those descriptors
 and drives the CLEAN detector over the trace, entirely offline:
 
 * **scalar** mode replays one access at a time through the exact
-  per-event monitor path;
-* **batch** mode checks segments through the one vectorized kernel,
-  ``check_block``, each segment against the vector clock its thread
-  held when it ended: a synchronization-free run of ``BATCH_MIN`` or
-  more shared accesses goes in alone, and runs of shorter ones are
-  joined in *windows* — same verdicts, same counters, much faster.
+  per-event monitor path, the syncs through the monitor's hooks;
+* **batch** mode is one streamed *clock pass*: it applies the syncs to
+  epoch-encoded clock rows of its own and checks each segment through
+  the one vectorized kernel, ``check_block``, against the row its
+  thread held when the segment ended — a synchronization-free run of
+  ``BATCH_MIN`` or more shared accesses alone, runs of shorter ones
+  together in *windows* — same verdicts, same counters, much faster.
 
 Replay order
 ------------
 
 Replay is one sequential pass.  Segments (one thread's accesses up to
-its next sync commit) replay in the global order of their closing syncs; a thread's vector clock only
-changes at its own commits, so this order is consistent with the
-recorded happens-before relation.  Race-free traces therefore get the
-exact live verdicts and counters; racy traces get a canonical,
-deterministic order so every analysis mode agrees on the first race.
+its next sync commit) replay in the global order of their closing
+syncs; a thread's vector clock only changes at its own commits, so this
+order is consistent with the recorded happens-before relation, and each
+segment's clock is known once its closing sync is reached.  Race-free
+traces therefore get the exact live verdicts and counters; racy traces
+get a canonical, deterministic order so every analysis mode agrees on
+the first race.
 
 Traces from recorders older than the descriptor format (sync events
 with a zero global index) cannot be replayed faithfully and are
@@ -33,17 +36,17 @@ rejected with a clear error — re-record the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from itertools import count
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from .clean import CleanMonitor
 from .core.detector import CleanDetector
 from .core.epoch import DEFAULT_LAYOUT, EpochLayout
-from .core.exceptions import MetadataError, RaceException
-from .runtime.trace import SYNC, StreamingTrace, Trace, open_trace
+from .core.exceptions import RaceException
+from .runtime.trace import StreamingTrace, Trace, open_trace
 
 __all__ = ["AnalysisReport", "analyze_trace"]
 
@@ -68,410 +71,507 @@ class AnalysisReport:
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready dict (the ``analyze --json`` output)."""
-        return {
-            "mode": self.mode,
-            "racy": self.racy,
-            "race": self.race,
-            "threads": self.threads,
-            "events": self.events,
-            "accesses": self.accesses,
-            "syncs": self.syncs,
-            "counters": dict(self.counters),
-            "hot_sites": list(self.hot_sites),
-        }
+        return asdict(self)
 
 
 # -- trace loading and the replay plan ----------------------------------------
 
 
-class _Cols:
-    """One thread's full event stream as numpy columns."""
-
-    __slots__ = (
-        "kinds", "addresses", "sizes", "private", "sync_pos", "sync_names"
-    )
-
-    def __init__(self, trace: object, tid: int) -> None:
-        kinds, addresses, sizes, private = [], [], [], []
-        names: List[str] = []
-        for chunk in trace.iter_chunks(tid):
-            k = chunk.kinds
-            kinds.append(k)
-            addresses.append(chunk.addresses.astype(np.int64))
-            sizes.append(chunk.sizes.astype(np.int64))
-            private.append(chunk.private)
-            names.extend(map(chunk.sync_name_at, np.flatnonzero(k == 2)))
-        if kinds:
-            self.kinds = np.concatenate(kinds)
-            self.addresses = np.concatenate(addresses)
-            self.sizes = np.concatenate(sizes)
-            self.private = np.concatenate(private)
-        else:
-            self.kinds = np.zeros(0, dtype=np.uint8)
-            self.addresses = np.zeros(0, dtype=np.int64)
-            self.sizes = np.zeros(0, dtype=np.int64)
-            self.private = np.zeros(0, dtype=bool)
-        #: positions of the sync events, and their descriptors
-        self.sync_pos = np.flatnonzero(self.kinds == 2)
-        self.sync_names = names
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-
 class _Plan:
-    """The replay plan: per-thread columns plus the global sync order.
+    """The replay plan: every thread's events plus the global sync order.
+
+    The columns hold all threads' events back to back, in tid order.  A
+    *segment* — a thread's accesses up to its next sync — is indexed by
+    the sync that closes it (``sync_tids``/``sync_names`` list the syncs
+    in global order), a thread's tail after its last sync by
+    ``len(sync_names)`` plus its rank in ``tids``; ``seg_start``,
+    ``seg_end``, ``seg_tid``, ``seg_shared`` (its shared accesses) and
+    ``seg_bytes`` (their bytes) describe it.
 
     Raises :class:`ValueError` for a trace no replay can follow: a tid
-    the epoch ``layout`` cannot hold, a thread other than the root (tid
-    0) that no Spawn starts, a sync by a thread that is not running
-    (before its Spawn or after its Join), or a Spawn/Join that names
-    the root, itself, no thread of the trace, a running thread (Spawn)
-    or one not running (Join).
+    the epoch ``layout`` cannot hold, a sync without a commit order, a
+    thread whose commit orders do not increase, or a thread other than
+    the root (tid 0) that no Spawn names.
+    The replay finds syncs of threads that are not running.
     """
 
     def __init__(
         self, trace: object, layout: EpochLayout = DEFAULT_LAYOUT
     ) -> None:
-        self.cols: Dict[int, _Cols] = {
-            tid: _Cols(trace, tid) for tid in trace.thread_ids()
-        }
-        if self.cols and max(self.cols) > layout.max_tid:
+        self.tids: List[int] = sorted(trace.thread_ids())
+        if self.tids and self.tids[-1] > layout.max_tid:
             raise ValueError(
-                f"thread id {max(self.cols)} does not fit the epoch "
+                f"thread id {self.tids[-1]} does not fit the epoch "
                 f"layout's {layout.tid_bits} tid bits"
             )
-        #: (global order, tid, position, kind, argument) per sync commit,
-        #: in global order; ``"Acquire:L"`` splits into kind and argument.
-        self.syncs: List[Tuple[int, int, int, str, str]] = []
-        split: Dict[str, Tuple[str, str]] = {}
-        for tid, cols in self.cols.items():
-            for order, pos, name in zip(
-                cols.addresses[cols.sync_pos].tolist(),
-                cols.sync_pos.tolist(),
-                cols.sync_names,
-            ):
-                if order <= 0:
-                    raise ValueError(
-                        "trace has sync events without replayable "
-                        "descriptors (recorded before the descriptor "
-                        "format); re-record it to analyze offline"
-                    )
-                parts = split.get(name)
-                if parts is None:
-                    parts = split[name] = name.partition(":")[::2]
-                self.syncs.append((order, tid, pos, *parts))
-        self.syncs.sort(key=itemgetter(0))
+        # Filled chunk by chunk: the columns exist once, never as chunks
+        # and their concatenation side by side.
+        total = trace.total_events
+        self.kinds = np.empty(total, dtype=np.uint8)
+        self.addresses = np.empty(total, dtype=np.int64)
+        self.sizes = np.empty(total, dtype=np.int64)
+        self.private = np.empty(total, dtype=bool)
+        names: List[str] = []
+        #: per sync event, and per thread: the thread's shared accesses
+        #: and their bytes before it, and in all
+        before: List[np.ndarray] = []
+        totals: List[np.ndarray] = []
+        self.ends: List[int] = []
+        end = 0
+        for tid in self.tids:
+            seen = np.zeros((2, 1), dtype=np.int64)
+            for chunk in trace.iter_chunks(tid):
+                kinds, private, sizes = chunk.kinds, chunk.private, chunk.sizes
+                run = slice(end, end + len(kinds))
+                end += len(kinds)
+                self.kinds[run] = kinds
+                self.addresses[run] = chunk.addresses
+                self.sizes[run] = sizes
+                self.private[run] = private
+                sync = kinds == 2
+                shared = ~(sync | private)
+                tally = np.cumsum((shared, shared * sizes), 1, np.int64)
+                before.append(tally[:, sync] + seen)
+                seen = seen + tally[:, -1:] if len(kinds) else seen
+                # A sync without a name reads the table's "" sentinel.
+                table = [*chunk.names, ""]
+                index = np.minimum(chunk.name_idx[sync], len(table) - 1)
+                names.extend([table[i] for i in index.tolist()])
+            self.ends.append(end)
+            totals.append(seen[:, 0])
+
+        # Every sync event, in thread order, then by commit order.
+        at = np.flatnonzero(self.kinds == 2)
+        ends = np.array(self.ends, dtype=np.int64)
+        rank = np.searchsorted(ends, at, "right")
+        orders = self.addresses[at]
+        if orders.size and int(orders.min()) <= 0:
+            raise ValueError(
+                "trace has sync events without replayable descriptors "
+                "(recorded before the descriptor format); re-record it "
+                "to analyze offline"
+            )
+        same = rank[1:] == rank[:-1]
+        if (same & (orders[1:] <= orders[:-1])).any():
+            raise ValueError("a thread's sync commit orders do not increase")
+        perm = np.argsort(orders, kind="stable")
+        tids = np.array(self.tids, dtype=np.int64)
+        self.sync_tid_col = tids[rank][perm]
+        self.sync_tids: List[int] = self.sync_tid_col.tolist()
+        self.sync_names: List[str] = [names[i] for i in perm.tolist()]
+        # Segments: each sync's run from its thread's previous sync (or
+        # its start), then every thread's tail.
+        starts = np.concatenate(([0], ends[:-1]))
+        seg_start = starts[rank]
+        seg_start[1:][same] = at[:-1][same] + 1
+        tail = starts.copy()
+        np.maximum.at(tail, rank, at + 1)
+        self.seg_start = np.concatenate((seg_start[perm], tail))
+        self.seg_end = np.concatenate((at[perm], ends))
+        self.seg_tid = np.concatenate((self.sync_tid_col, tids))
+        # ... and its shared accesses and bytes, from the running tallies.
+        tally = np.concatenate([np.zeros((2, 0), np.int64), *before], axis=1)
+        own = tally.copy()
+        own[:, 1:][:, same] -= tally[:, :-1][:, same]
+        at_last = np.zeros((2, len(self.tids)), dtype=np.int64)
+        for row in (0, 1):
+            np.maximum.at(at_last[row], rank, tally[row])
+        tails = np.array(totals, dtype=np.int64).reshape(-1, 2).T - at_last
+        self.seg_shared, self.seg_bytes = np.concatenate(
+            (own[:, perm], tails), axis=1
+        )
+
         # Per (barrier, generation) episode: arrivers in arrival order.
         # Departs of the whole episode apply at its last arrival — the
         # moment the live barrier tripped.
+        distinct = set(self.sync_names)
+        barriers = {n for n in distinct if n.startswith("BarrierWait:")}
         self.episodes: Dict[str, List[int]] = {}
         last_arrival: Dict[str, int] = {}
-        spawned = {0}
-        running = {0}
-        for o, t, _p, kind, rest in self.syncs:
-            if t not in running:
-                raise ValueError(
-                    f"thread {t}'s {kind} comes while it is not running "
-                    "(before a Spawn of it, or after its Join)"
-                )
-            if kind == "BarrierWait":
-                self.episodes.setdefault(rest, []).append(t)
-                last_arrival[rest] = o
-            elif kind in ("Spawn", "Join"):
-                target = int(rest) if rest.isdecimal() else None
-                if (
-                    target in (t, 0)
-                    or target not in self.cols
-                    or (target in running) != (kind == "Join")
-                ):
-                    raise ValueError(
-                        f"thread {t}'s {kind}:{rest} names no thread of "
-                        f"the trace it could {kind.lower()}"
-                    )
-                if kind == "Spawn":
-                    spawned.add(target)
-                    running.add(target)
-                else:
-                    running.remove(target)
-        self.trips: Dict[int, str] = {
-            o: key for key, o in last_arrival.items()
+        for i, name in enumerate(self.sync_names):
+            if name in barriers:
+                key = name[len("BarrierWait:"):]
+                self.episodes.setdefault(key, []).append(self.sync_tids[i])
+                last_arrival[key] = i
+        #: sync index of each episode's last arrival -> its episode
+        self.trips = {i: key for key, i in last_arrival.items()}
+        spawned = {
+            int(n[6:]) for n in distinct
+            if n.startswith("Spawn:") and n[6:].isdecimal()
         }
-        unspawned = sorted(set(self.cols) - spawned)
+        unspawned = sorted(set(self.tids) - spawned - {0})
         if unspawned:
             raise ValueError(
                 f"thread {unspawned[0]} is never spawned: only the root, "
                 "tid 0, starts without a Spawn"
             )
-        self.threads = len(self.cols)
-        self.events = sum(len(c) for c in self.cols.values())
-        self.accesses = self.events - len(self.syncs)
 
     def min_max_threads(self) -> int:
-        return (max(self.cols) + 1) if self.cols else 1
+        return self.tids[-1] + 1 if self.tids else 1
+
+    def target(
+        self, tid: int, kind: str, rest: str, running: Collection[int]
+    ) -> int:
+        """The thread a Spawn or Join of ``tid`` names, if it may."""
+        target = int(rest) if rest.isdecimal() else None
+        if (
+            target in (tid, 0)
+            or target not in self.tids
+            or (target in running) != (kind == "Join")
+        ):
+            raise ValueError(
+                f"thread {tid}'s {kind}:{rest} names no thread of "
+                f"the trace it could {kind.lower()}"
+            )
+        return target
+
+    def open_segment(self, tid: int, i: int) -> int:
+        """The segment ``tid`` has open at sync ``i``: up to its next
+        sync, or its tail."""
+        mine = np.flatnonzero(self.sync_tid_col == tid)
+        later = int(np.searchsorted(mine, i))
+        if later < mine.size:
+            return int(mine[later])
+        return len(self.sync_names) + self.tids.index(tid)
 
 
-def _barrier_key(text: str) -> Tuple[str, int]:
-    """``"B@3"`` -> the live run's ``(barrier name, generation)`` key."""
-    name, _, gen = text.rpartition("@")
-    return (name, int(gen))
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges ``[start, start + length)``."""
-    return np.arange(int(lengths.sum())) + np.repeat(
-        starts - (np.cumsum(lengths) - lengths), lengths
+def _not_running(tid: int, what: str) -> ValueError:
+    return ValueError(
+        f"thread {tid}'s {what} comes while it is not running "
+        "(before a Spawn of it, or after its Join)"
     )
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sums of ``values`` from each start to the next (the last: to the
-    end); ``starts`` is increasing and may end at ``len(values)``."""
-    sums = np.zeros(starts.size, dtype=np.int64)
-    inside = starts < values.size
-    if inside.any():
-        sums[inside] = np.add.reduceat(values, starts[inside], dtype=np.int64)
-    return sums
+_ACQUIRE, _RELEASE, _WAKE, _BARRIER, _SPAWN, _JOIN = range(6)
 
 
-# -- the single-process replay (scalar and batch) -----------------------------
+def _sync_op(name: str) -> Tuple[Any, ...]:
+    """A sync descriptor as both lanes apply it: an op code and its
+    sync keys, the detector's keys for the same objects."""
+    kind, _, rest = name.partition(":")
+    if kind in ("Acquire", "SemWait"):
+        return (_ACQUIRE, rest)
+    if kind in ("Release", "SemPost", "CondSignal", "CondBroadcast"):
+        return (_RELEASE, rest)
+    if kind == "CondWait":  # releases the lock; the cond edge is at wake
+        return (_RELEASE, rest.partition(":")[2])
+    if kind == "CondWake":
+        return (_WAKE, *rest.partition(":")[::2])
+    if kind == "BarrierWait":  # "B@3": the live (barrier, generation) key
+        barrier, _, generation = rest.rpartition("@")
+        return (_BARRIER, (barrier, int(generation)))
+    if kind in ("Spawn", "Join"):
+        return (_SPAWN if kind == "Spawn" else _JOIN, rest)
+    raise ValueError(f"unknown sync kind {kind!r}")
 
-#: Bytes of short segments a window gathers before it is joined.
-WINDOW_BYTES = 1 << 15
+
+# -- scalar replay: the per-event monitor path --------------------------------
 
 
 class _MonitorReplay:
-    """Drive a :class:`CleanMonitor` over a plan, scalar or batch.
+    """Drive a :class:`CleanMonitor` over a plan, one event at a time.
 
     Mirrors exactly the live hook sequence: accesses of a segment, then
     the segment's sync's happens-before edges, then the sync-commit
     invalidation — so verdicts and every counter match a live run of
-    the same interleaving.
-
-    In batch mode a segment with at least ``BATCH_MIN`` shared accesses
-    goes to ``check_block`` as it ends, as a one-segment block sliced
-    straight from the plan's columns; shorter ones are deferred into a
-    *window* with a snapshot of their thread's vector clock, and the
-    window is joined in one ``check_block`` call — before the next long
-    segment, at ``WINDOW_BYTES``, before any sync that might roll the
-    clocks over (the reset must follow the window's writes) and at the
-    end of the trace.  The syncs themselves still replay in order.
+    the same interleaving.  The batch lane is held to this reference.
     """
 
-    def __init__(
-        self,
-        plan: _Plan,
-        monitor: CleanMonitor,
-        batch: bool,
-    ) -> None:
+    def __init__(self, plan: _Plan, monitor: CleanMonitor) -> None:
         self.plan = plan
         self.monitor = monitor
-        self.batch = batch
         self.position = 0
-        self._cursor: Dict[int, int] = {tid: 0 for tid in plan.cols}
-        #: per thread, the index of its open segment (its syncs so far)
-        self._segment: Dict[int, int] = {tid: 0 for tid in plan.cols}
+        #: segments already replayed, at a Join of their thread
+        self._joined: Set[int] = set()
         self.race: Optional[RaceException] = None
         self.race_position: Optional[int] = None
-        # Batch mode: per thread and segment (the run before each sync,
-        # then the tail), its bytes.
-        self._bytes: Dict[int, List[int]] = {}
-        if batch:
-            for tid, cols in plan.cols.items():
-                starts = np.concatenate(([0], cols.sync_pos + 1))
-                self._bytes[tid] = _segment_sums(cols.sizes, starts).tolist()
-        #: pending short segments: (tid, start, end, position, clock)
-        self._window: List[Tuple[int, int, int, int, Any]] = []
-        self._window_bytes = 0
-        #: syncs that surely run before a rollover (recomputed at 0)
-        self._safe_syncs = 0
 
     def run(self) -> None:
+        plan = self.plan
         monitor = self.monitor
-        detector = monitor.detector
         monitor.on_thread_start(0, None)
+        running = {0}
         try:
-            for order, tid, pos, kind, rest in self.plan.syncs:
-                self._flush(tid, pos)
-                if kind == "Join":
+            for i, (tid, name) in enumerate(
+                zip(plan.sync_tids, plan.sync_names)
+            ):
+                if tid not in running:
+                    raise _not_running(tid, name)
+                self._replay(i)
+                op = _sync_op(name)
+                if op[0] == _SPAWN:
+                    running.add(plan.target(tid, "Spawn", op[1], running))
+                elif op[0] == _JOIN:
                     # The child's trailing accesses (after its last sync)
                     # happened before this join; replay them before
                     # retiring its tid.
-                    child = int(rest)
-                    self._flush(child, self._segment_end(child))
-                if self._window and self._safe_syncs <= 0:
-                    self._safe_syncs = detector.clock_headroom()
-                    if self._safe_syncs <= 0:
-                        # This sync may reset every epoch: the window's
-                        # writes come first.
-                        self._close_window()
-                self._safe_syncs -= 1
-                self._apply_sync(order, tid, kind, rest)
-                self._cursor[tid] = pos + 1
-                self._segment[tid] += 1
-            for tid in sorted(self.plan.cols):
-                self._flush(tid, len(self.plan.cols[tid]))
-            self._close_window()
+                    child = plan.target(tid, "Join", op[1], running)
+                    segment = plan.open_segment(child, i)
+                    self._replay(segment)
+                    self._joined.add(segment)
+                    running.remove(child)
+                self._apply_sync(tid, op)
+                for arriver in plan.episodes.get(plan.trips.get(i), ()):
+                    if arriver not in running:
+                        raise _not_running(arriver, "barrier departure")
+                    monitor.on_barrier_depart(arriver, *op[1])
+            for rank in range(len(plan.tids)):
+                self._replay(len(plan.sync_names) + rank)
         except RaceException as exc:
             self.race = exc
 
-    # -- segments ---------------------------------------------------------
-
-    def _flush(self, tid: int, end: int) -> None:
-        """Replay ``tid``'s accesses from its cursor up to ``end``."""
-        start = self._cursor[tid]
-        if end <= start:
+    def _replay(self, s: int) -> None:
+        """Replay segment ``s``'s accesses, unless a Join already did."""
+        if s in self._joined:
             return
-        self._cursor[tid] = end
-        cols = self.plan.cols[tid]
+        plan = self.plan
+        lo, hi = int(plan.seg_start[s]), int(plan.seg_end[s])
         base = self.position
-        self.position += end - start
-        if self.batch:
-            monitor = self.monitor
-            batch_min = monitor.detector.BATCH_MIN
-            shared = end - start
-            if shared >= batch_min:
-                shared -= int(np.count_nonzero(cols.private[start:end]))
-            if shared >= batch_min:
-                self._close_window()
-                # Columnar hand-off: the decoded trace columns go to the
-                # monitor's batch lane without materializing one tuple.
-                try:
-                    monitor.check_block(
-                        ((tid, monitor.detector.thread_vc(tid)),),
-                        (
-                            cols.kinds[start:end] == 1,
-                            cols.addresses[start:end],
-                            cols.sizes[start:end],
-                            cols.private[start:end],
-                            np.zeros(end - start, dtype=np.int64),
-                        ),
-                    )
-                except RaceException:
-                    self.race_position = base + monitor.block_progress
-                    raise
-            else:
-                try:
-                    clock = monitor.detector.thread_vc(tid).copy()
-                except MetadataError:
-                    # Scalar replay checks every earlier access first.
-                    self._close_window()
-                    raise
-                self._window.append((tid, start, end, base, clock))
-                self._window_bytes += self._bytes[tid][self._segment[tid]]
-                if self._window_bytes >= WINDOW_BYTES:
-                    self._close_window()
-        else:
-            is_write = (cols.kinds[start:end] == 1).tolist()
-            addr = cols.addresses[start:end].tolist()
-            size = cols.sizes[start:end].tolist()
-            private = cols.private[start:end].tolist()
-            check = self.monitor._check_one
-            for i in range(len(addr)):
-                if private[i]:
-                    continue
-                try:
-                    check(tid, is_write[i], addr[i], size[i])
-                except RaceException:
-                    self.race_position = base + i
-                    raise
+        self.position += hi - lo
+        tid = int(plan.seg_tid[s])
+        is_write = (plan.kinds[lo:hi] == 1).tolist()
+        addr = plan.addresses[lo:hi].tolist()
+        size = plan.sizes[lo:hi].tolist()
+        private = plan.private[lo:hi].tolist()
+        check = self.monitor._check_one
+        for i in range(hi - lo):
+            if private[i]:
+                continue
+            try:
+                check(tid, is_write[i], addr[i], size[i])
+            except RaceException:
+                self.race_position = base + i
+                raise
 
-    def _close_window(self) -> None:
-        """Join the pending short segments in one ``check_block``."""
-        if not self._window:
+    def _apply_sync(self, tid: int, op: Tuple[Any, ...]) -> None:
+        monitor = self.monitor
+        code = op[0]
+        if code == _ACQUIRE:
+            monitor.on_acquire(tid, op[1])
+        elif code == _RELEASE:
+            monitor.on_release(tid, op[1])
+        elif code == _WAKE:
+            monitor.on_acquire(tid, op[1])
+            monitor.on_cond_wake(tid, op[2])
+        elif code == _BARRIER:
+            monitor.on_barrier_arrive(tid, *op[1])
+        elif code == _SPAWN:
+            monitor.on_thread_start(int(op[1]), tid)
+            monitor.on_spawn(tid, int(op[1]))
+        else:
+            monitor.on_join(tid, int(op[1]))
+        monitor.on_sync_commit(tid, None)
+
+
+# -- batch replay: one streamed clock pass ------------------------------------
+
+#: Shared bytes of short segments a window gathers before it is checked.
+WINDOW_BYTES = 1 << 15
+
+
+def _join(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Vector-clock join of two epoch-encoded rows: a plain word max,
+    since element ``i`` of every row packs tid ``i``."""
+    return tuple([x if x >= y else y for x, y in zip(a, b)])
+
+
+class _ClockPass:
+    """Batch replay: one pass over the plan's syncs, checking as it goes.
+
+    A thread's vector clock changes only at its own syncs, so a
+    segment's clock is known when the sync that closes it is reached.
+    The pass applies every sync to epoch-encoded rows held in plain int
+    tuples — no monitor hooks, no vector-clock objects — and hands each
+    closed segment to ``check_block`` with its thread's row: alone if it
+    has ``BATCH_MIN`` or more shared accesses, else in an open *window*
+    checked when it holds ``WINDOW_BYTES``, before a long segment,
+    before an advance that rolls the clocks over (the pass then resets
+    the shadow and every row itself) and at the end.  Only the open
+    window's rows and columns are held at any time.  The detector ends
+    where per-sync replay leaves it.
+    """
+
+    def __init__(self, plan: _Plan, monitor: CleanMonitor) -> None:
+        self.plan = plan
+        self.monitor = monitor
+        self.race: Optional[RaceException] = None
+        self.race_position: Optional[int] = None
+        #: per segment: shared accesses, their bytes, events
+        self.shared: List[int] = plan.seg_shared.tolist()
+        self.nbytes: List[int] = plan.seg_bytes.tolist()
+        self.length: List[int] = (plan.seg_end - plan.seg_start).tolist()
+        #: the open window: segments, their rows and replay positions
+        self._segs: List[int] = []
+        self._rows: List[Tuple[int, ...]] = []
+        self._bases: List[int] = []
+        self._size = 0
+
+    def run(self) -> None:
+        try:
+            try:
+                self._pass()
+            except ValueError:
+                # Scalar replay checks every earlier access first.
+                self._check_window()
+                raise
+        except RaceException as exc:
+            self.race = exc
+
+    def _pass(self) -> None:
+        plan = self.plan
+        detector = self.monitor.detector
+        layout = detector.layout
+        width = detector.max_threads
+        cmax = layout.clock_max
+        base = tuple(layout.pack(t, 0) for t in range(width))
+        fresh = [
+            base[:t] + (base[t] + 1,) + base[t + 1:] for t in range(width)
+        ]
+        clocks: Dict[int, Tuple[int, ...]] = {0: fresh[0]}
+        free = list(range(width - 1, 0, -1))
+        locks: Dict[Any, Tuple[int, ...]] = {}
+        ops: Dict[str, Tuple[Any, ...]] = {}
+        position = sync_ops = 0
+
+        def advance(tid: int) -> None:
+            row = clocks[tid]
+            if row[tid] & cmax == cmax:
+                # Rollover: the window's writes come before the reset.
+                self._check_window()
+                detector.reset_metadata()
+                for t in clocks:
+                    clocks[t] = fresh[t]
+                for key in locks:
+                    locks[key] = base
+                row = clocks[tid]
+            new = list(row)
+            new[tid] += 1
+            clocks[tid] = tuple(new)
+
+        try:
+            for i, tid, name in zip(count(), plan.sync_tids, plan.sync_names):
+                row = clocks.get(tid)
+                if row is None:
+                    raise _not_running(tid, name)
+                position = self._close(i, row, position)
+                op = ops.get(name)
+                if op is None:
+                    op = ops[name] = _sync_op(name)
+                code = op[0]
+                if code == _ACQUIRE:
+                    sync_ops += 1
+                    key = op[1]
+                    lock = locks.get(key)
+                    if lock is not None:
+                        clocks[tid] = _join(row, lock)
+                elif code == _RELEASE or code == _BARRIER:
+                    sync_ops += 1
+                    key = op[1]
+                    lock = locks.get(key)
+                    locks[key] = row if lock is None else _join(lock, row)
+                    advance(tid)
+                    if code == _BARRIER:
+                        episode = plan.episodes.get(plan.trips.get(i), ())
+                        for arriver in episode:
+                            if arriver not in clocks:
+                                raise _not_running(
+                                    arriver, "barrier departure"
+                                )
+                            sync_ops += 1
+                            row = clocks[arriver]
+                            clocks[arriver] = _join(row, locks[key])
+                elif code == _WAKE:
+                    sync_ops += 2
+                    for key in op[1:]:
+                        lock = locks.get(key)
+                        if lock is not None:
+                            row = _join(row, lock)
+                    clocks[tid] = row
+                elif code == _SPAWN:
+                    child = plan.target(tid, "Spawn", op[1], clocks)
+                    free.remove(child)
+                    clocks[child] = row
+                    advance(child)
+                    advance(tid)
+                else:
+                    # The child's trailing accesses (after its last sync)
+                    # happened before this join.
+                    child = plan.target(tid, "Join", op[1], clocks)
+                    position = self._close(
+                        plan.open_segment(child, i), clocks[child], position
+                    )
+                    advance(child)
+                    clocks[tid] = _join(clocks[tid], clocks.pop(child))
+                    free.append(child)
+            for rank, tid in enumerate(plan.tids):
+                s = len(plan.sync_names) + rank
+                position = self._close(s, clocks.get(tid), position)
+            self._check_window()
+        finally:
+            detector.install_clocks(clocks, locks, free)
+            detector.stats.sync_ops += sync_ops
+
+    def _close(self, s: int, row: Tuple[int, ...], base: int) -> int:
+        """Check segment ``s``, which starts at replay position ``base``,
+        against ``row``: into the window, or alone after the window.  A
+        segment is closed once (a Join closes its child's ahead of the
+        child's next sync); returns the replay position after it."""
+        shared, length = self.shared[s], self.length[s]
+        self.shared[s] = self.length[s] = 0
+        if shared:
+            long_segment = shared >= self.monitor.detector.BATCH_MIN
+            if long_segment:
+                self._check_window()
+            self._segs.append(s)
+            self._rows.append(row)
+            self._bases.append(base)
+            self._size += self.nbytes[s]
+            if long_segment or self._size >= WINDOW_BYTES:
+                self._check_window()
+        return base + length
+
+    def _check_window(self) -> None:
+        """Check the open window's segments in one ``check_block`` call."""
+        if not self._segs:
             return
-        tids, starts, ends, bases, clocks = zip(*self._window)
-        self._window = []
-        self._window_bytes = 0
-        tid_col = np.array(tids)
-        start_col = np.array(starts)
-        lengths = np.array(ends) - start_col
-        offsets = np.cumsum(lengths) - lengths
-        total = int(lengths.sum())
-        is_write = np.empty(total, dtype=bool)
-        addr = np.empty(total, dtype=np.int64)
-        size = np.empty(total, dtype=np.int64)
-        private = np.empty(total, dtype=bool)
-        for tid in set(tids):
-            mine = tid_col == tid
-            src = _ranges(start_col[mine], lengths[mine])
-            dst = _ranges(offsets[mine], lengths[mine])
-            cols = self.plan.cols[tid]
-            is_write[dst] = cols.kinds[src] == 1
-            addr[dst] = cols.addresses[src]
-            size[dst] = cols.sizes[src]
-            private[dst] = cols.private[src]
-        seg = np.arange(len(tids)).repeat(lengths)
+        plan = self.plan
+        segs, rows, bases = np.array(self._segs), self._rows, self._bases
+        self._segs, self._rows, self._bases, self._size = [], [], [], 0
+        segments = np.empty(
+            (segs.size, self.monitor.detector.max_threads + 1), dtype=np.int64
+        )
+        segments[:, 0] = plan.seg_tid[segs]
+        segments[:, 1:] = rows
+        starts = plan.seg_start[segs]
+        lengths = plan.seg_end[segs] - starts
+        if segs.size == 1:  # a long segment: views, not copies
+            src: Any = slice(int(starts[0]), int(starts[0] + lengths[0]))
+        else:
+            src = np.arange(int(lengths.sum())) + np.repeat(
+                starts - (np.cumsum(lengths) - lengths), lengths
+            )
+        seg = np.arange(segs.size).repeat(lengths)
         monitor = self.monitor
         try:
-            monitor.check_block(
-                list(zip(tids, clocks)), (is_write, addr, size, private, seg)
-            )
+            monitor.check_block(segments, (
+                plan.kinds[src] == 1, plan.addresses[src], plan.sizes[src],
+                plan.private[src], seg,
+            ))
         except RaceException:
             index = monitor.block_progress
             s = int(seg[index])
-            self.race_position = bases[s] + index - int(offsets[s])
+            self.race_position = bases[s] + index - int(lengths[:s].sum())
             raise
-
-    # -- synchronization --------------------------------------------------
-
-    def _apply_sync(self, order: int, tid: int, kind: str, rest: str) -> None:
-        monitor = self.monitor
-        if kind == "Acquire":
-            monitor.on_acquire(tid, rest)
-        elif kind == "Release":
-            monitor.on_release(tid, rest)
-        elif kind == "CondWait":
-            # The wait releases the lock; the cond edge happens at wake.
-            _cond, _, lock = rest.partition(":")
-            monitor.on_release(tid, lock)
-        elif kind == "CondWake":
-            lock, _, cond = rest.partition(":")
-            monitor.on_acquire(tid, lock)
-            monitor.on_cond_wake(tid, cond)
-        elif kind in ("CondSignal", "CondBroadcast"):
-            monitor.on_cond_signal(tid, rest)
-        elif kind == "SemWait":
-            monitor.on_sem_wait(tid, rest)
-        elif kind == "SemPost":
-            monitor.on_sem_post(tid, rest)
-        elif kind == "BarrierWait":
-            name, gen = _barrier_key(rest)
-            monitor.on_barrier_arrive(tid, name, gen)
-        elif kind == "Spawn":
-            child = int(rest)
-            monitor.on_thread_start(child, tid)
-            monitor.on_spawn(tid, child)
-        elif kind == "Join":
-            monitor.on_join(tid, int(rest))
-        else:
-            raise ValueError(f"unknown sync kind {kind!r}")
-        monitor.on_sync_commit(tid, None)
-        key = self.plan.trips.get(order)
-        if key is not None:
-            name, gen = _barrier_key(key)
-            for arriver in self.plan.episodes[key]:
-                monitor.on_barrier_depart(arriver, name, gen)
-
-    def _segment_end(self, tid: int) -> int:
-        """End of ``tid``'s current open segment: its next sync, or EOF."""
-        cols = self.plan.cols[tid]
-        segment = self._segment[tid]
-        if segment < cols.sync_pos.size:
-            return int(cols.sync_pos[segment])
-        return len(cols)
 
 
 def _run_single(
-    plan: _Plan,
-    batch: bool,
-    max_threads: int,
-    layout: EpochLayout,
+    plan: _Plan, batch: bool, layout: EpochLayout
 ) -> Tuple[CleanMonitor, Optional[RaceException], Optional[int]]:
+    max_threads = max(plan.min_max_threads(), 2)
     detector = CleanDetector(max_threads=max_threads, layout=layout)
     monitor = CleanMonitor(detector=detector, max_threads=max_threads)
     monitor.sites = None  # profiling belongs to live runs, not replay
-    replay = _MonitorReplay(plan, monitor, batch=batch)
+    replay = (_ClockPass if batch else _MonitorReplay)(plan, monitor)
     replay.run()
     return monitor, replay.race, replay.race_position
 
@@ -519,11 +619,12 @@ def _hot_sites(
     reads: Dict[int, int] = {}
     writes: Dict[int, int] = {}
     threads: Dict[int, set] = {}
-    for tid, cols in plan.cols.items():
-        shared = (cols.kinds != 2) & ~cols.private
-        for counts, mask in ((reads, cols.kinds == 0), (writes, cols.kinds == 1)):
+    for tid, lo, hi in zip(plan.tids, [0, *plan.ends], plan.ends):
+        kinds = plan.kinds[lo:hi]
+        shared = (kinds != 2) & ~plan.private[lo:hi]
+        for counts, mask in ((reads, kinds == 0), (writes, kinds == 1)):
             addrs, tallies = np.unique(
-                cols.addresses[shared & mask], return_counts=True
+                plan.addresses[lo:hi][shared & mask], return_counts=True
             )
             for addr, n in zip(addrs.tolist(), tallies.tolist()):
                 counts[addr] = counts.get(addr, 0) + n
@@ -552,7 +653,6 @@ def _hot_sites(
 def analyze_trace(
     trace: Union[str, Trace, StreamingTrace],
     mode: str = "batch",
-    max_threads: Optional[int] = None,
     layout: EpochLayout = DEFAULT_LAYOUT,
     salvage: bool = False,
     hot_sites: int = 0,
@@ -561,7 +661,8 @@ def analyze_trace(
 
     ``trace`` is a path or an in-memory/streaming trace.  ``mode`` is
     ``"scalar"`` or ``"batch"`` (default); both return identical
-    verdicts, racing pairs and counter totals.  With ``hot_sites`` > 0
+    verdicts, racing pairs and counter totals.  The detector holds as
+    many threads as the trace's largest tid needs.  With ``hot_sites`` > 0
     the report additionally ranks the top-K shared addresses by access
     count (the service's ``/report`` diagnostics).
     """
@@ -570,20 +671,16 @@ def analyze_trace(
     if isinstance(trace, (str,)) or hasattr(trace, "__fspath__"):
         trace = open_trace(str(trace), salvage=salvage)
     plan = _Plan(trace, layout)
-    if max_threads is None:
-        max_threads = max(plan.min_max_threads(), 2)
-    monitor, race, position = _run_single(
-        plan, batch=(mode == "batch"), max_threads=max_threads, layout=layout
-    )
+    monitor, race, position = _run_single(plan, mode == "batch", layout)
     payload = _race_payload(race, position) if race is not None else None
     return AnalysisReport(
         mode=mode,
         racy=race is not None,
         race=payload,
-        threads=plan.threads,
-        events=plan.events,
-        accesses=plan.accesses,
-        syncs=len(plan.syncs),
+        threads=len(plan.tids),
+        events=len(plan.kinds),
+        accesses=len(plan.kinds) - len(plan.sync_names),
+        syncs=len(plan.sync_names),
         counters=_collect_counters(monitor),
         hot_sites=(
             _hot_sites(plan, hot_sites, payload) if hot_sites > 0 else []

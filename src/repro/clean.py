@@ -20,7 +20,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .core.detector import CleanDetector
 from .core.events import AccessEvent, DetectorBackend
 from .core.epoch import DEFAULT_LAYOUT, EpochLayout
 from .core.rollover import RolloverPolicy
-from .core.vector_clock import VectorClock
 from .determinism.counters import PreciseCounter
 from .determinism.kendo import KendoGate
 from .obs import MetricsRegistry, publish_detector_metrics
@@ -253,7 +252,7 @@ class CleanMonitor(ExecutionMonitor):
 
     def check_block(
         self,
-        segments: Sequence[Tuple[int, VectorClock]],
+        segments: np.ndarray,
         block: Tuple[np.ndarray, ...],
     ) -> None:
         """Drive consecutive replayed segments through the detector's
@@ -262,12 +261,13 @@ class CleanMonitor(ExecutionMonitor):
         ``block`` is columnar ``(is_write, address, size, private,
         segment)``: equal-length numpy arrays, as the offline replay
         slices them from its decoded trace columns; ``segment`` indexes
-        ``segments``, each segment's thread and its vector clock when the
-        segment ended.  Private accesses are skipped, as replay
-        instruments shared accesses only.  The same-epoch hits are the
-        accesses whose bytes their own segment wrote before, which is
-        exactly what the per-event hooks find when every segment starts
-        with an empty written set, as it does in replay.  Verdicts,
+        the rows of ``segments``, each segment's tid followed by its
+        thread's epoch-encoded vector clock when the segment ended.
+        Private accesses are skipped, as replay instruments shared
+        accesses only.  The same-epoch hits are the accesses whose bytes
+        their own segment wrote before, which is exactly what the
+        per-event hooks find when every segment starts with an empty
+        written set, as it does in replay.  Verdicts,
         hit/miss counts (kept when the fast path is on) and the
         detector's counters match the per-event hooks; a SiteProfiler is
         not fed.  On a race :attr:`block_progress` names the raising

@@ -24,8 +24,7 @@ update any metadata, and writes are only compared against the last write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -113,8 +112,6 @@ class ThreadState:
 
     tid: int
     vc: VectorClock
-    alive: bool = True
-    children: Set[int] = field(default_factory=set)
 
 
 class CleanDetector(DetectorBackend):
@@ -203,9 +200,7 @@ class CleanDetector(DetectorBackend):
                 raise MetadataError(f"requested child tid {child_tid} is not free")
             self._free_tids.remove(child_tid)
             tid = child_tid
-        child_vc = parent.vc.copy()
-        self._threads[tid] = ThreadState(tid, child_vc)
-        parent.children.add(tid)
+        self._threads[tid] = ThreadState(tid, parent.vc.copy())
         self._advance(self._threads[tid])
         self._advance(parent)
         return tid
@@ -219,10 +214,28 @@ class CleanDetector(DetectorBackend):
         child = self._thread(child_tid)
         self._advance(child)
         parent.vc.join(child.vc)
-        child.alive = False
-        parent.children.discard(child_tid)
         del self._threads[child_tid]
         self._free_tids.append(child_tid)
+
+    def install_clocks(
+        self,
+        threads: Dict[int, Sequence[int]],
+        locks: Dict[object, Sequence[int]],
+        free_tids: List[int],
+    ) -> None:
+        """Take every thread and sync-object clock from epoch-encoded rows
+        (``threads``: live tid -> row, ``locks``: sync key -> row) and the
+        free tids in order — the state the per-sync methods would have
+        left, applied elsewhere (offline replay's clock pass)."""
+        layout = self.layout
+        self._threads = {
+            tid: ThreadState(tid, VectorClock.of(row, layout))
+            for tid, row in threads.items()
+        }
+        self._lock_vcs = {
+            key: VectorClock.of(row, layout) for key, row in locks.items()
+        }
+        self._free_tids = list(free_tids)
 
     def live_threads(self) -> List[int]:
         """Tids of all currently live threads."""
@@ -405,14 +418,16 @@ class CleanDetector(DetectorBackend):
 
     def check_block(
         self,
-        segments: Sequence[Tuple[int, VectorClock]],
+        segments: np.ndarray,
         block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
         """Batch check of consecutive replayed segments, in replay order.
 
-        ``segments`` holds each segment's ``(tid, vector clock)``: its
-        thread and the clock that thread held when the segment ended.
-        ``block`` is columnar ``(is_write, address, size, segment)``;
+        ``segments`` is an int64 matrix with one row per segment: its
+        thread's tid, then the epoch-encoded elements of the vector clock
+        that thread held when the segment ended (``max_threads`` of
+        them).  ``block`` is columnar ``(is_write, address, size,
+        segment)``;
         ``segment`` (non-decreasing) indexes ``segments``.  Offline
         replay only: there a sync commit ends every segment, so each
         starts with an empty written-this-epoch set.
@@ -459,13 +474,15 @@ class CleanDetector(DetectorBackend):
         starts, acc_idx, baddr = _expand(addr, size)
         total = int(baddr.size)
         byte_is_write = is_write[acc_idx]
-        # Each segment's clock as a row of epoch-encoded elements, plus a
-        # -1 column for epochs whose tid bits fall outside the clock.
+        # Each segment's clock row plus a -1 column for epochs whose tid
+        # bits fall outside the clock, and the epoch it writes.
         width = self.max_threads
-        if len(segments) == 1:
-            tid, vc = segments[0]
-            rows = np.array([[*vc, -1]], dtype=np.int64)
-            epochs = np.array([vc.element(tid)], dtype=np.uint32)
+        k = len(segments)
+        rows = np.empty((k, width + 1), dtype=np.int64)
+        rows[:, :width] = segments[:, 1:]
+        rows[:, width] = -1
+        epochs = rows[np.arange(k), segments[:, 0]].astype(np.uint32)
+        if k == 1:
             byte_seg = 0
             lo = int(baddr.min())
             span = int(baddr.max()) - lo + 1
@@ -481,15 +498,6 @@ class CleanDetector(DetectorBackend):
             own = first < acc_idx
             eff = np.where(own, epochs[0], self.shadow.gather(baddr))
         else:
-            rows = np.full((len(segments), width + 1), -1, dtype=np.int64)
-            rows[:, :width] = np.fromiter(
-                chain.from_iterable(vc for _tid, vc in segments),
-                dtype=np.int64,
-                count=len(segments) * width,
-            ).reshape(-1, width)
-            epochs = rows[
-                np.arange(len(segments)), [tid for tid, _vc in segments]
-            ].astype(np.uint32)
             # In (address, block position) order, the last write before
             # each byte is a running max of write positions; it is an
             # earlier write to the same byte iff it lies at or after the
@@ -541,7 +549,7 @@ class CleanDetector(DetectorBackend):
             )
             # Each byte's last write in the prefix leaves its segment's
             # epoch behind.
-            if len(segments) == 1:
+            if k == 1:
                 self.shadow.scatter(
                     baddr[:prefix][first[:prefix] == acc_idx[:prefix]],
                     epochs[0],
@@ -583,7 +591,7 @@ class CleanDetector(DetectorBackend):
 
     def _replay_segments(
         self,
-        segments: Sequence[Tuple[int, VectorClock]],
+        segments: np.ndarray,
         block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         skip: int = 0,
     ) -> None:
@@ -600,7 +608,8 @@ class CleanDetector(DetectorBackend):
             for index, s in enumerate(seg):
                 if s != current:
                     current = s
-                    thread = ThreadState(*segments[s])
+                    tid, *row = segments[s].tolist()
+                    thread = ThreadState(tid, VectorClock.of(row, self.layout))
                     written = set()
                 address, n = addr[index], size[index]
                 if index < skip:
@@ -743,21 +752,6 @@ class CleanDetector(DetectorBackend):
                     "auto_rollover is disabled; call reset_metadata()"
                 )
         thread.vc.increment(thread.tid)
-
-    def clock_headroom(self) -> int:
-        """How many forks, joins and releases surely run before a rollover.
-
-        Each of them raises the largest clock held in any vector clock
-        (thread or sync object) by at most one, and a rollover needs an
-        advance of a clock already at ``clock_max``.  Acquires never
-        advance a clock.
-        """
-        layout = self.layout
-        held = chain(
-            (t.vc for t in self._threads.values()), self._lock_vcs.values()
-        )
-        top = max((layout.clock(e) for vc in held for e in vc), default=0)
-        return layout.clock_max - top
 
     def rollover_imminent(self, slack: int = 1) -> bool:
         """Whether any live thread is within ``slack`` ticks of rollover."""

@@ -14,7 +14,7 @@ lines 3 and 5 of Figure 2.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterable, Iterator, List
 
 from .epoch import DEFAULT_LAYOUT, EpochLayout
 
@@ -35,6 +35,14 @@ class VectorClock:
             )
         self.layout = layout
         self._elems: List[int] = [layout.pack(i, 0) for i in range(size)]
+
+    @classmethod
+    def of(cls, elements: Iterable[int], layout: EpochLayout) -> "VectorClock":
+        """A vector clock holding the epoch-encoded ``elements``, by tid."""
+        vc = cls.__new__(cls)
+        vc.layout = layout
+        vc._elems = list(elements)
+        return vc
 
     # -- accessors ---------------------------------------------------------
 
@@ -101,10 +109,7 @@ class VectorClock:
 
     def copy(self) -> "VectorClock":
         """An independent copy of this vector clock."""
-        dup = VectorClock.__new__(VectorClock)
-        dup.layout = self.layout
-        dup._elems = list(self._elems)
-        return dup
+        return VectorClock.of(self._elems, self.layout)
 
     # -- comparison --------------------------------------------------------
 

@@ -30,6 +30,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from .. import __version__ as _LIBRARY_VERSION
+from ..obs.registry import MetricsRegistry
+from ..obs.sites import SiteProfiler
 from .job import Job
 
 __all__ = ["CheckpointStore", "FORMAT_VERSION", "QUARANTINE_DIR"]
@@ -59,7 +61,9 @@ def _malformed(record: Dict[str, Any]) -> Optional[str]:
 
     Checks what :meth:`~repro.exec.runner.JobRunner.run` reads back: the
     ``value``, the numeric bookkeeping fields, and the telemetry payload
-    down to the metric values and span records it merges.
+    down to the metric values and span records it merges; the metrics
+    (histogram snapshots included) and the hot-site profile must merge
+    into a fresh registry and profiler as the runner merges them.
     """
     if "value" not in record:
         return "no value"
@@ -80,6 +84,13 @@ def _malformed(record: Dict[str, Any]) -> Optional[str]:
             span.get("attrs") or {}, dict
         ):
             return "telemetry span record is not an object"
+    try:
+        MetricsRegistry().merge_snapshot(
+            telemetry.get("metrics") or {}, kinds=telemetry.get("kinds")
+        )
+        SiteProfiler().merge_payload(telemetry.get("sites") or {})
+    except (AttributeError, TypeError, ValueError) as exc:
+        return f"telemetry does not merge ({exc})"
     return None
 
 

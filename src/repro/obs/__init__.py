@@ -37,108 +37,45 @@ See ``docs/observability.md`` for the metric name glossary, the span
 schema, the merge rules and the exposition format.
 """
 
-from .bridges import publish_detector_metrics, publish_sim_metrics
-from .dashboard import render_dashboard
-from .context import (
-    TelemetryContext,
-    current_context,
-    current_registry,
-    current_sites,
-    current_timeline,
-    current_tracer,
-    telemetry_scope,
-)
-from .forensics import (
-    FORENSICS_FORMAT_VERSION,
-    build_hb_graph,
-    chrome_trace,
-    hb_graph_dot,
-    render_html,
-    validate_chrome_trace,
-    write_forensics,
-)
-from .monitor import TelemetryMonitor
-from .prom import prom_name, render_prom
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    labeled_name,
-    split_labels,
-)
-from .serve import TelemetryServer
-from .sites import SiteProfiler
-from .slo import (
-    SLO_FORMAT_VERSION,
-    Objective,
-    default_slos,
-    evaluate_slos,
-    load_slo_config,
-    render_slo_text,
-)
-from .status import StatusFile
-from .timeseries import (
-    TIMESERIES_FORMAT_VERSION,
-    Collector,
-    TimeSeriesStore,
-)
-from .timeline import TIMELINE_FORMAT_VERSION, TimelineRecorder, TimelineSink
-from .tracer import (
-    SPANS_FORMAT_VERSION,
-    JsonlExporter,
-    Span,
-    Timer,
-    Tracer,
-    read_jsonl,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Collector",
-    "Counter",
-    "FORENSICS_FORMAT_VERSION",
-    "Gauge",
-    "Histogram",
-    "JsonlExporter",
-    "MetricsRegistry",
-    "Objective",
-    "SLO_FORMAT_VERSION",
-    "SPANS_FORMAT_VERSION",
-    "SiteProfiler",
-    "Span",
-    "StatusFile",
-    "TIMELINE_FORMAT_VERSION",
-    "TIMESERIES_FORMAT_VERSION",
-    "TelemetryContext",
-    "TelemetryMonitor",
-    "TelemetryServer",
-    "TimeSeriesStore",
-    "TimelineRecorder",
-    "TimelineSink",
-    "Timer",
-    "Tracer",
-    "build_hb_graph",
-    "chrome_trace",
-    "current_context",
-    "current_registry",
-    "current_sites",
-    "current_timeline",
-    "current_tracer",
-    "default_slos",
-    "evaluate_slos",
-    "hb_graph_dot",
-    "labeled_name",
-    "load_slo_config",
-    "prom_name",
-    "publish_detector_metrics",
-    "publish_sim_metrics",
-    "read_jsonl",
-    "render_dashboard",
-    "render_html",
-    "render_prom",
-    "render_slo_text",
-    "split_labels",
-    "telemetry_scope",
-    "validate_chrome_trace",
-    "write_forensics",
-]
+_EXPORTS = {
+    ".bridges": ["publish_detector_metrics", "publish_sim_metrics"],
+    ".dashboard": ["render_dashboard"],
+    ".context": [
+        "TelemetryContext", "current_context", "current_registry",
+        "current_sites", "current_timeline", "current_tracer",
+        "telemetry_scope",
+    ],
+    ".forensics": [
+        "FORENSICS_FORMAT_VERSION", "build_hb_graph", "chrome_trace",
+        "hb_graph_dot", "render_html", "validate_chrome_trace",
+        "write_forensics",
+    ],
+    ".monitor": ["TelemetryMonitor"],
+    ".prom": ["prom_name", "render_prom"],
+    ".registry": [
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "labeled_name",
+        "split_labels",
+    ],
+    ".serve": ["TelemetryServer"],
+    ".sites": ["SiteProfiler"],
+    ".slo": [
+        "SLO_FORMAT_VERSION", "Objective", "default_slos", "evaluate_slos",
+        "load_slo_config", "render_slo_text",
+    ],
+    ".status": ["StatusFile"],
+    ".timeseries": [
+        "TIMESERIES_FORMAT_VERSION", "Collector", "TimeSeriesStore",
+    ],
+    ".timeline": [
+        "TIMELINE_FORMAT_VERSION", "TimelineRecorder", "TimelineSink",
+    ],
+    ".tracer": [
+        "SPANS_FORMAT_VERSION", "JsonlExporter", "Span", "Timer", "Tracer",
+        "read_jsonl",
+    ],
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

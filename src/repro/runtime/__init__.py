@@ -6,124 +6,38 @@ monitor stack (race detectors, Kendo gates, trace recorders, semantic
 oracles).  See :mod:`repro.runtime.program` for the entry point.
 """
 
-from .memory import SharedMemory
-from .ops import (
-    Acquire,
-    AtomicRMW,
-    BarrierWait,
-    Compute,
-    CondBroadcast,
-    CondSignal,
-    CondWait,
-    Join,
-    Op,
-    Output,
-    Read,
-    Release,
-    SemPost,
-    SemWait,
-    Spawn,
-    Write,
-)
-from .explore import ExplorationStats, explore, explore_results
-from .program import Program
-from .recovery import (
-    Quarantined,
-    RecoveryError,
-    RecoveryEvent,
-    RecoveryPolicy,
-    RecoveryReport,
-)
-from .replay import RecordingPolicy, ReplayDivergence, ReplayPolicy
-from .regions import (
-    IsolationOracle,
-    SemanticViolation,
-    SfrTracker,
-    WriteAtomicityOracle,
-)
-from .serializability import ConflictEdge, RegionSerializabilityOracle
-from .scheduler import (
-    ExecutionMonitor,
-    ExecutionResult,
-    RandomPolicy,
-    RoundRobinPolicy,
-    Scheduler,
-    SchedulingPolicy,
-    ScriptedPolicy,
-    SyncCommit,
-    ThreadStatus,
-)
-from .sync import Barrier, Condition, Lock, Semaphore
-from .trace import (
-    READ,
-    SYNC,
-    WRITE,
-    StreamingTrace,
-    Trace,
-    TraceEvent,
-    TraceRecorder,
-    open_trace,
-    verify_trace,
-    verify_trace_bytes,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SharedMemory",
-    "Op",
-    "Read",
-    "Write",
-    "AtomicRMW",
-    "Acquire",
-    "Release",
-    "BarrierWait",
-    "CondWait",
-    "CondSignal",
-    "CondBroadcast",
-    "SemWait",
-    "SemPost",
-    "Spawn",
-    "Join",
-    "Compute",
-    "Output",
-    "Program",
-    "explore",
-    "explore_results",
-    "ExplorationStats",
-    "ExecutionMonitor",
-    "ExecutionResult",
-    "Scheduler",
-    "SchedulingPolicy",
-    "RoundRobinPolicy",
-    "RandomPolicy",
-    "ScriptedPolicy",
-    "RecordingPolicy",
-    "ReplayPolicy",
-    "ReplayDivergence",
-    "Quarantined",
-    "RecoveryError",
-    "RecoveryEvent",
-    "RecoveryPolicy",
-    "RecoveryReport",
-    "SyncCommit",
-    "ThreadStatus",
-    "Lock",
-    "Barrier",
-    "Condition",
-    "Semaphore",
-    "SfrTracker",
-    "IsolationOracle",
-    "WriteAtomicityOracle",
-    "SemanticViolation",
-    "RegionSerializabilityOracle",
-    "ConflictEdge",
-    "StreamingTrace",
-    "Trace",
-    "TraceEvent",
-    "TraceRecorder",
-    "open_trace",
-    "verify_trace",
-    "verify_trace_bytes",
-    "READ",
-    "WRITE",
-    "SYNC",
-]
+_EXPORTS = {
+    ".memory": ["SharedMemory"],
+    ".ops": [
+        "Acquire", "AtomicRMW", "BarrierWait", "Compute", "CondBroadcast",
+        "CondSignal", "CondWait", "Join", "Op", "Output", "Read", "Release",
+        "SemPost", "SemWait", "Spawn", "Write",
+    ],
+    ".explore": ["ExplorationStats", "explore", "explore_results"],
+    ".program": ["Program"],
+    ".recovery": [
+        "Quarantined", "RecoveryError", "RecoveryEvent", "RecoveryPolicy",
+        "RecoveryReport",
+    ],
+    ".replay": ["RecordingPolicy", "ReplayDivergence", "ReplayPolicy"],
+    ".regions": [
+        "IsolationOracle", "SemanticViolation", "SfrTracker",
+        "WriteAtomicityOracle",
+    ],
+    ".serializability": ["ConflictEdge", "RegionSerializabilityOracle"],
+    ".scheduler": [
+        "ExecutionMonitor", "ExecutionResult", "RandomPolicy",
+        "RoundRobinPolicy", "Scheduler", "SchedulingPolicy", "ScriptedPolicy",
+        "SyncCommit", "ThreadStatus",
+    ],
+    ".sync": ["Barrier", "Condition", "Lock", "Semaphore"],
+    ".trace": [
+        "READ", "SYNC", "WRITE", "StreamingTrace", "Trace", "TraceEvent",
+        "TraceRecorder", "open_trace", "verify_trace", "verify_trace_bytes",
+    ],
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

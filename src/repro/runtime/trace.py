@@ -178,11 +178,6 @@ class TraceChunk:
         """Boolean private flag per event."""
         return (self.codes & np.uint8(_PRIVATE_BIT)) != 0
 
-    def sync_name_at(self, i: int) -> str:
-        """The sync name of event ``i`` ("" for memory events)."""
-        idx = int(self.name_idx[i])
-        return "" if idx == _NO_NAME else self.names[idx]
-
     def events(self) -> List[TraceEvent]:
         """Materialize the chunk as :class:`TraceEvent` objects."""
         names = self.names

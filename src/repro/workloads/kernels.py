@@ -45,6 +45,7 @@ from ..runtime.ops import (
     Write,
 )
 from ..runtime.program import Program
+from ..runtime.recovery import Quarantined
 from ..runtime.sync import Barrier, Lock, Semaphore
 from .spec import BenchmarkSpec
 
@@ -384,7 +385,8 @@ def _build_pipeline(spec, scale, racy, seed, n_threads):
             children.append(child)
         total = 0
         for child in children:
-            total ^= yield Join(child)
+            result = yield Join(child)  # Quarantined if recovery parked it
+            total ^= 0 if isinstance(result, Quarantined) else result
         yield Output(total)
         return total
 
@@ -444,7 +446,8 @@ def _spawn_harness(spec, worker, n_slots, n_threads) -> Program:
             children.append(child)
         total = 0
         for child in children:
-            total ^= yield Join(child)
+            result = yield Join(child)  # Quarantined if recovery parked it
+            total ^= 0 if isinstance(result, Quarantined) else result
         yield Output(total)
         return total
 

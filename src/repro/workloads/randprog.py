@@ -30,6 +30,7 @@ from ..runtime.ops import (
     Write,
 )
 from ..runtime.program import Program
+from ..runtime.recovery import Quarantined
 from ..runtime.sync import Lock
 
 __all__ = ["RandomProgramPlan", "make_random_program"]
@@ -126,7 +127,8 @@ def make_random_program(
             children.append(child)
         total = 0
         for child in children:
-            total += yield Join(child)
+            result = yield Join(child)  # Quarantined if recovery parked it
+            total += 0 if isinstance(result, Quarantined) else result
         yield Output(total)
         return total
 

@@ -107,8 +107,10 @@ def columns(block):
 
 
 def segment(monitor, tid):
-    """``tid``'s open segment, as ``check_block``'s segment list."""
-    return ((tid, monitor.detector.thread_vc(tid)),)
+    """``tid``'s open segment, as ``check_block``'s clock-row matrix."""
+    return np.array(
+        [(tid, *monitor.detector.thread_vc(tid))], dtype=np.int64
+    )
 
 
 def outcome(monitor, race, position):

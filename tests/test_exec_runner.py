@@ -123,7 +123,8 @@ class TestCheckpointRecordLoad:
 
     @pytest.mark.parametrize("damage", [
         "value_renamed", "attempts_str", "duration_null", "telemetry_str",
-        "metrics_list",
+        "metrics_list", "histogram_buckets_int", "histogram_count_str",
+        "histogram_unknown_bound", "site_address_not_int",
     ])
     def test_damaged_record_is_quarantined_and_rerun(self, tmp_path, damage):
         job, record = _recorded(tmp_path)
@@ -135,8 +136,16 @@ class TestCheckpointRecordLoad:
             record["duration_s"] = None
         elif damage == "telemetry_str":
             record["telemetry"] = "x"
-        else:
+        elif damage == "metrics_list":
             record["telemetry"] = {"metrics": [1]}
+        elif damage == "histogram_buckets_int":
+            record["telemetry"]["metrics"]["h"] = {"buckets": 5}
+        elif damage == "histogram_count_str":
+            record["telemetry"]["metrics"]["h"] = {"count": "x"}
+        elif damage == "histogram_unknown_bound":
+            record["telemetry"]["metrics"]["h"] = {"buckets": [[0.123456, 1]]}
+        else:
+            record["telemetry"]["sites"] = {"addresses": {"zz": {}}}
         runner, store, result = _serve_or_rerun(tmp_path / "s", job, record)
         assert not result.cached
         assert runner.stats["corrupt_checkpoints"] == 1
@@ -161,9 +170,26 @@ class TestCheckpointRecordLoad:
     def test_damaged_records_never_crash_the_runner(self, tmp_path, data):
         job, record = _recorded(tmp_path)
         telemetry = record["telemetry"]
+        registry = MetricsRegistry()
+        for value in (0.5, 3, 70):
+            registry.observe("h", value)
+        histogram = telemetry["metrics"]["h"] = registry.snapshot()["h"]
+        sites = telemetry["sites"]["addresses"]
         for _ in range(data.draw(st.integers(1, 3))):
-            action = data.draw(st.sampled_from(("drop", "swap", "nested")))
-            if action == "drop" and record:
+            action = data.draw(st.sampled_from(
+                ("drop", "swap", "nested", "histogram", "bucket", "site")
+            ))
+            if action == "histogram":
+                histogram[data.draw(st.sampled_from(sorted(histogram)))] = (
+                    data.draw(json_values)
+                )
+            elif action == "bucket" and isinstance(histogram["buckets"], list):
+                histogram["buckets"].append(
+                    [data.draw(json_values), data.draw(json_values)]
+                )
+            elif action == "site":
+                sites[data.draw(st.text(max_size=4))] = data.draw(json_values)
+            elif action == "drop" and record:
                 record.pop(data.draw(st.sampled_from(sorted(record))))
             elif action == "swap" and record:
                 record[data.draw(st.sampled_from(sorted(record)))] = (

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import pytest
 
+import repro
 from repro.__main__ import main as cli_main
 from repro.analysis import analyze_trace
 from repro.experiments.traces import record_trace
@@ -263,6 +267,17 @@ class TestInputErrors:
                 0: [TraceEvent(SYNC, 1, sync_name="Join:1"), spawn_1],
                 1: [write],
             },
+            # A barrier episode that trips after one arriver was joined.
+            "depart_after_join": {
+                0: [spawn_1, TraceEvent(SYNC, 4, sync_name="Join:1"),
+                    TraceEvent(SYNC, 5, sync_name="BarrierWait:B@0")],
+                1: [write, TraceEvent(SYNC, 3, sync_name="BarrierWait:B@0")],
+            },
+            # Commit orders that go back within a thread.
+            "orders_decrease": {
+                0: [TraceEvent(SYNC, 2, sync_name="Acquire:L"),
+                    TraceEvent(SYNC, 1, sync_name="Release:L")],
+            },
         }
         for name, per_thread in unreplayable.items():
             paths[name] = root / f"{name}.trace"
@@ -274,7 +289,8 @@ class TestInputErrors:
                  "missing", "past_2_63", "tid_4000", "join_absent",
                  "spawn_self", "unspawned_root_1", "unspawned_3",
                  "unspawned_2", "sync_before_spawn", "sync_after_join",
-                 "spawn_twice", "join_before_spawn"],
+                 "spawn_twice", "join_before_spawn", "depart_after_join",
+                 "orders_decrease"],
     )
     @pytest.mark.parametrize("json_out", [False, True])
     def test_analyze_unreadable_exits_2(self, traces, capsys, name, json_out):
@@ -334,3 +350,35 @@ class TestAddressBound:
         trace = Trace(per_thread={0: [past]})
         with pytest.raises(ValueError, match="past 2"):
             trace.save(tmp_path / "past.trace")
+
+
+class TestLazyImports:
+    """The package ``__init__`` modules resolve their re-exports on
+    first access, so offline analysis imports none of the service,
+    telemetry-server or exploration stack."""
+
+    def test_analysis_loads_no_service_stack(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro.analysis\n"
+            "print([m for m in ('repro.service', 'repro.obs.serve', "
+            "'http.server', 'repro.runtime.explore') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_reexports_resolve(self):
+        import repro.obs
+        import repro.runtime
+        from repro.runtime import explore
+        from repro.runtime.explore import explore as defined
+
+        assert explore is defined and repro.runtime.explore is defined
+        for package in (repro, repro.runtime, repro.obs):
+            for name in package.__all__:
+                assert getattr(package, name) is not None
+            assert set(package.__all__) <= set(dir(package))

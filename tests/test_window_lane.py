@@ -1,11 +1,12 @@
-"""The several-segment side of the batch kernel against the per-access
-loop it replaces.
+"""The batch lane — the clock pass and the several-segment side of the
+batch kernel — against the per-access loop it replaces.
 
-In batch analysis a segment (one thread's accesses up to its next sync)
-with fewer than ``BATCH_MIN`` shared accesses is deferred into a window
-with a snapshot of its thread's vector clock; ``CleanMonitor.check_block``
-then joins the whole window against the recorded clocks at once.  These
-tests pin that lane to the scalar hooks:
+In batch analysis the clock pass applies the syncs to clock rows of its
+own, and a segment (one thread's accesses up to its next sync) with
+fewer than ``BATCH_MIN`` shared accesses joins a window with its
+thread's row; ``CleanMonitor.check_block`` then checks the whole window
+against those rows at once.  These tests pin that lane to the scalar
+hooks:
 
 1. **Analysis property** — random programs (3-4 threads, race-free and
    racy, epoch layouts small enough that clocks roll over): batch and
@@ -19,11 +20,15 @@ tests pin that lane to the scalar hooks:
 3. **Oracle** — random racy programs: scalar and batch analysis report
    a race iff the full vector-clock detector, replayed in the same
    order, records a WAW or RAW race, and name one it recorded.
-4. **Rollover** — the window closes before a sync that may reset every
-   epoch, including the fork of a reused tid no live clock announces.
+4. **Rollover** — the window is checked before the advance that resets
+   every epoch, including the fork of a reused tid no live clock
+   announces.
+5. **Clock pass** — the detector ends where per-sync replay leaves it,
+   and batch analysis holds one window's memory at a time.
 """
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,13 +36,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import _MonitorReplay, _Plan, analyze_trace
+import repro.analysis
+from repro.analysis import _MonitorReplay, _Plan, _run_single, analyze_trace
 from repro.clean import CleanMonitor
 from repro.core import CleanDetector
 from repro.core.epoch import EpochLayout
 from repro.core.exceptions import RaceException
 from repro.determinism.counters import PreciseCounter
-from repro.runtime import RandomPolicy, TraceRecorder
+from repro.experiments.traces import record_trace
+from repro.runtime import (
+    Acquire,
+    CondBroadcast,
+    CondSignal,
+    CondWait,
+    Condition,
+    Join,
+    Lock,
+    Program,
+    RandomPolicy,
+    Read,
+    Release,
+    Spawn,
+    TraceRecorder,
+    Write,
+)
+from repro.runtime.trace import READ, SYNC, WRITE, Trace, TraceEvent
+from repro.workloads import RACE_FREE_VARIANTS, get_benchmark
 from repro.workloads.randprog import make_random_program
 from tests._oracle import Oracle, assert_names_first_race
 
@@ -193,7 +217,10 @@ def _replay(window, lane):
         w, a, n, p, seg = (np.array(col) for col in zip(*rows))
         try:
             monitor.check_block(
-                list(zip(tids, clocks)),
+                np.array(
+                    [(tid, *vc) for tid, vc in zip(tids, clocks)],
+                    dtype=np.int64,
+                ),
                 (w.astype(bool), a, n, p.astype(bool), seg),
             )
         except RaceException as exc:
@@ -253,7 +280,7 @@ def _oracle_records(trace):
     oracle = Oracle(max_threads=max(plan.min_max_threads(), 2))
     monitor = CleanMonitor(detector=oracle)
     monitor.sites = None
-    _MonitorReplay(plan, monitor, batch=False).run()
+    _MonitorReplay(plan, monitor).run()
     return oracle.records
 
 
@@ -311,35 +338,210 @@ class TestOracle:
 # -- rollover -----------------------------------------------------------------
 
 
-class TestRollover:
-    def test_headroom_sees_the_fork_of_a_reused_tid(self):
-        """A joined child leaves its clock in the parent's vector clock;
-        forking its tid again advances that clock.  No live thread's own
-        clock shows it, but the headroom does."""
-        layout = EpochLayout(clock_bits=3)
-        detector = CleanDetector(max_threads=2, layout=layout)
-        detector.spawn_root()
-        detector.fork(0, 1)
-        while detector.thread_vc(1).clock_of(1) < layout.clock_max - 1:
-            detector.release(1, "L")
-        detector.join(0, 1)  # the child's clock reaches clock_max
-        assert not detector.rollover_imminent(slack=0)
-        assert detector.clock_headroom() <= 0
-        before = detector.stats.rollovers
-        detector.fork(0, 1)
-        assert detector.stats.rollovers == before + 1
+def _ordered(per_thread):
+    """A trace from ``{tid: [event, ...]}``: a sync is ``(order,
+    "Kind:arg")``, an 8-byte access ``("W" or "R", address)``."""
+    return Trace(per_thread={
+        tid: [
+            TraceEvent(SYNC, event[0], sync_name=event[1])
+            if isinstance(event[1], str)
+            else TraceEvent(WRITE if event[0] == "W" else READ, event[1], 8)
+            for event in events
+        ]
+        for tid, events in per_thread.items()
+    })
 
-    def test_headroom_bounds_every_advance(self):
-        layout = EpochLayout(clock_bits=4)
-        detector = CleanDetector(max_threads=3, layout=layout)
-        detector.spawn_root()
-        detector.fork(0, 1)
-        detector.fork(0, 2)
-        ops = 0
-        headroom = detector.clock_headroom()
-        while detector.stats.rollovers == 0:
-            tid = ops % 3
-            detector.release(tid, f"L{ops % 2}")
-            detector.acquire((tid + 1) % 3, f"L{ops % 2}")
-            ops += 1
-        assert ops > headroom
+
+def _resets_after_checks(trace, layout):
+    """Batch analysis of ``trace`` with every metadata reset logged next
+    to the kernel calls: the reset must find the window checked."""
+    log = []
+    check, reset = CleanDetector.check_block, CleanDetector.reset_metadata
+
+    def checking(self, segments, block):
+        log.append("check")
+        return check(self, segments, block)
+
+    def resetting(self):
+        log.append("reset")
+        return reset(self)
+
+    with mock.patch.object(CleanDetector, "check_block", checking), \
+            mock.patch.object(CleanDetector, "reset_metadata", resetting):
+        report = analyze_trace(trace, mode="batch", layout=layout)
+    return report, log
+
+
+X = 0x1000
+
+
+class TestRollover:
+    """The clock pass rolls the clocks over at the advance that would
+    exceed ``clock_max``, after checking the window: a write pending
+    there must be wiped by the reset like any earlier write, so a
+    reader the reset leaves unordered with it does not race."""
+
+    def test_fork_of_a_reused_tid_rolls_over(self):
+        """A joined child leaves its clock in the parent's row; forking
+        its tid again advances that clock past ``clock_max``.  No live
+        thread's own clock shows it."""
+        layout = EpochLayout(clock_bits=3)
+        trace = _ordered({
+            0: [(1, "Spawn:1"), (2, "Spawn:2"), (8, "Join:1"),
+                ("W", X), (9, "Spawn:1")],
+            1: [(order, "Release:L") for order in range(3, 8)],
+            2: [(10, "Acquire:M"), ("R", X), (11, "Release:M")],
+        })
+        scalar = analyze_trace(trace, mode="scalar", layout=layout)
+        batch, log = _resets_after_checks(trace, layout)
+        assert scalar.counters["clean.rollovers"] == 1
+        assert not scalar.racy
+        assert batch.to_payload() | {"mode": "scalar"} == scalar.to_payload()
+        assert log.index("reset") > 0
+
+    @pytest.mark.parametrize("trigger", [
+        "Release:B", "SemPost:S", "CondSignal:C", "CondBroadcast:C",
+        "CondWait:C:B", "BarrierWait:B@0", "Spawn:2", "Join:2",
+    ])
+    def test_every_advance_rolls_over_after_the_window(self, trigger):
+        """Each sync that advances a clock can be the one that rolls
+        over: the root reaches ``clock_max`` (a child's clock, for a
+        join), writes X, then syncs; thread 1, spawned before the write
+        and checked after the reset, reads X."""
+        layout = EpochLayout(clock_bits=2)
+        per_thread = {
+            0: [(1, "Spawn:1"), (2, "Release:A"), ("W", X), (3, trigger)],
+            1: [(6, "Acquire:M"), ("R", X), (7, "Release:M")],
+            2: [],
+        }
+        if trigger == "Join:2":
+            per_thread[0] = [(1, "Spawn:1"), (2, "Spawn:2"), ("W", X),
+                             (5, trigger)]
+            per_thread[2] = [(3, "Release:D"), (4, "Release:D")]
+        elif trigger != "Spawn:2":
+            del per_thread[2]
+        trace = _ordered(per_thread)
+        scalar = analyze_trace(trace, mode="scalar", layout=layout)
+        batch, log = _resets_after_checks(trace, layout)
+        assert scalar.counters["clean.rollovers"] == 1
+        assert not scalar.racy
+        assert batch.to_payload() | {"mode": "scalar"} == scalar.to_payload()
+        assert "check" in log[: log.index("reset")]
+
+
+# -- the clock pass against per-sync replay -----------------------------------
+
+
+def _end_state(trace, batch, layout):
+    """The detector after analyzing a race-free ``trace``: every live
+    thread's and sync object's clock, the free tids and the sync
+    counters."""
+    plan = _Plan(trace, layout)
+    monitor, race, _position = _run_single(plan, batch, layout)
+    assert race is None
+    detector = monitor.detector
+    return {
+        "threads": {
+            tid: list(state.vc) for tid, state in detector._threads.items()
+        },
+        "locks": {key: list(vc) for key, vc in detector._lock_vcs.items()},
+        "free": list(detector._free_tids),
+        "sync_ops": detector.stats.sync_ops,
+        "rollovers": detector.stats.rollovers,
+        "pending": detector.rollover_pending,
+    }
+
+
+class TestClockPass:
+    """The batch lane applies the syncs on plain rows and installs the
+    result; the detector must end where per-sync replay (the scalar
+    lane's monitor hooks) leaves it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pseed=st.integers(0, 2**20),
+        sseed=st.integers(0, 2**20),
+        threads=st.sampled_from((3, 4)),
+        ops=st.sampled_from((10, 30)),
+        clock_bits=st.integers(2, 4),
+    )
+    def test_end_state_equals_per_sync_replay(
+        self, pseed, sseed, threads, ops, clock_bits
+    ):
+        program, _plan = make_random_program(
+            pseed, n_threads=threads, ops_per_thread=ops, race_probability=0.0
+        )
+        trace = record_only(program, sseed)
+        layout = EpochLayout(clock_bits=clock_bits)
+        assert _end_state(trace, True, layout) == _end_state(
+            trace, False, layout
+        )
+
+    @pytest.mark.parametrize("name", RACE_FREE_VARIANTS)
+    def test_workload_end_state(self, name):
+        """The workload models add barriers, conditions and semaphores
+        to the random programs' locks, spawns and joins."""
+        trace = record_trace(get_benchmark(name), scale="test", seed=11)
+        for layout in (EpochLayout(), EpochLayout(clock_bits=3)):
+            assert _end_state(trace, True, layout) == _end_state(
+                trace, False, layout
+            )
+
+    @pytest.mark.parametrize("sseed", range(6))
+    def test_condition_end_state(self, sseed):
+        """Waits, wakes, signals and broadcasts, which no workload model
+        records."""
+        lock, cond = Lock("L"), Condition("C")
+
+        def waiter(ctx, flag, slot):
+            yield Acquire(lock)
+            while (yield Read(flag, 1)) < slot:
+                yield CondWait(cond, lock)
+            yield Write(flag + 1 + slot, 1, slot)
+            yield Release(lock)
+
+        def main(ctx):
+            flag = ctx.alloc(8)
+            kids = []
+            for slot in (1, 2, 3):
+                kids.append((yield Spawn(waiter, (flag, slot))))
+            for slot in (1, 2, 3):
+                yield Acquire(lock)
+                yield Write(flag, 1, slot)
+                yield CondSignal(cond) if slot == 1 else CondBroadcast(cond)
+                yield Release(lock)
+            for kid in kids:
+                yield Join(kid)
+
+        trace = record_only(Program(main), sseed)
+        names = {name.partition(":")[0] for name in _Plan(trace).sync_names}
+        assert {"CondWait", "CondWake", "CondBroadcast"} <= names
+        for layout in (EpochLayout(), EpochLayout(clock_bits=2)):
+            assert _end_state(trace, True, layout) == _end_state(
+                trace, False, layout
+            )
+
+    @pytest.mark.parametrize("name", ["fluidanimate", "lu_cb"])
+    def test_peak_memory_near_scalar(self, name):
+        """Batch analysis holds one window's rows and gathered columns
+        at a time, so its ``tracemalloc`` peak stays within 1.5x of the
+        scalar lane's on a sync-dense trace (fluidanimate: ~4-access
+        segments) and on a long-SFR one (lu_cb).  The window shrinks
+        with the trace: this one is 1/32 of the ledger's 225k-event
+        trace, and so is the window, so its fixed scratch weighs as it
+        does there.  Keeping every segment's row, or gathering the whole
+        trace at once, puts fluidanimate near 7x."""
+        trace = record_trace(get_benchmark(name), scale="simsmall", seed=1)
+        peaks = {}
+        for mode in ("scalar", "batch"):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(
+                    repro.analysis, "WINDOW_BYTES",
+                    repro.analysis.WINDOW_BYTES // 32,
+                ):
+                    analyze_trace(trace, mode=mode)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["batch"] <= 1.5 * peaks["scalar"]
