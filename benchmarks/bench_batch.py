@@ -5,7 +5,7 @@ shared lock — replayed through both analysis modes of
 :func:`repro.analysis.analyze_trace`:
 
 * ``long_sfr``   — a lock round trip every 250 iterations (1,000
-  accesses): long synchronization-free runs, each checked alone;
+  accesses): long synchronization-free segments, checked in runs;
 * ``sync_dense`` — a lock round trip every iteration (4 accesses):
   segments below ``BATCH_MIN``, joined in windows.
 
@@ -13,8 +13,8 @@ and in both modes:
 
 * ``scalar``  — the reference path: every access through the monitor's
   per-event ``_check_one``.
-* ``batch``   — every segment through ``CleanMonitor.check_block``: a
-  long run as a one-segment block, runs of short segments as one
+* ``batch``   — every segment through ``CleanMonitor.check_block``:
+  consecutive long segments as one run, consecutive short ones as one
   window; scalar fallback only for the conflict minority.
 
 Both modes must agree on verdict and every ``clean.*`` counter — the

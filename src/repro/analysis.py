@@ -13,9 +13,10 @@ and drives the CLEAN detector over the trace, entirely offline:
 * **batch** mode is one streamed *clock pass*: it applies the syncs to
   epoch-encoded clock rows of its own and checks each segment through
   the one vectorized kernel, ``check_block``, against the row its
-  thread held when the segment ended — a synchronization-free run of
-  ``BATCH_MIN`` or more shared accesses alone, runs of shorter ones
-  together in *windows* — same verdicts, same counters, much faster.
+  thread held when the segment ended — consecutive segments of
+  ``BATCH_MIN`` or more shared accesses together in *runs*, consecutive
+  shorter ones together in *windows*, each batch up to ``WINDOW_BYTES``
+  — same verdicts, same counters, much faster.
 
 Replay order
 ------------
@@ -109,7 +110,7 @@ class _Plan:
         total = trace.total_events
         self.kinds = np.empty(total, dtype=np.uint8)
         self.addresses = np.empty(total, dtype=np.int64)
-        self.sizes = np.empty(total, dtype=np.int64)
+        self.sizes = np.empty(total, dtype=np.uint8)  # accesses: 1..64 bytes
         self.private = np.empty(total, dtype=bool)
         names: List[str] = []
         #: per sync event, and per thread: the thread's shared accesses
@@ -365,8 +366,8 @@ class _MonitorReplay:
 
 # -- batch replay: one streamed clock pass ------------------------------------
 
-#: Shared bytes of short segments a window gathers before it is checked.
-WINDOW_BYTES = 1 << 15
+#: Shared bytes a batch of segments gathers before it is checked.
+WINDOW_BYTES = 1 << 14
 
 
 def _join(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -381,14 +382,16 @@ class _ClockPass:
     A thread's vector clock changes only at its own syncs, so a
     segment's clock is known when the sync that closes it is reached.
     The pass applies every sync to epoch-encoded rows held in plain int
-    tuples — no monitor hooks, no vector-clock objects — and hands each
-    closed segment to ``check_block`` with its thread's row: alone if it
-    has ``BATCH_MIN`` or more shared accesses, else in an open *window*
-    checked when it holds ``WINDOW_BYTES``, before a long segment,
+    tuples — no monitor hooks, no vector-clock objects — and puts each
+    closed segment, with its thread's row, into an open batch: a *run*
+    of segments with ``BATCH_MIN`` or more shared accesses each, or a
+    *window* of shorter ones.  One ``check_block`` call checks the batch
+    when it holds ``WINDOW_BYTES``, before a segment of the other kind,
     before an advance that rolls the clocks over (the pass then resets
-    the shadow and every row itself) and at the end.  Only the open
-    window's rows and columns are held at any time.  The detector ends
-    where per-sync replay leaves it.
+    the shadow and every row itself) and at the end; so each call takes
+    one of the kernel's two joins, and a segment is never split.  Only
+    the open batch's rows and columns are held at any time.  The
+    detector ends where per-sync replay leaves it.
     """
 
     def __init__(self, plan: _Plan, monitor: CleanMonitor) -> None:
@@ -400,11 +403,13 @@ class _ClockPass:
         self.shared: List[int] = plan.seg_shared.tolist()
         self.nbytes: List[int] = plan.seg_bytes.tolist()
         self.length: List[int] = (plan.seg_end - plan.seg_start).tolist()
-        #: the open window: segments, their rows and replay positions
+        #: the open batch: segments, their rows and replay positions,
+        #: their shared bytes, and whether they are long
         self._segs: List[int] = []
         self._rows: List[Tuple[int, ...]] = []
         self._bases: List[int] = []
         self._size = 0
+        self._long = False
 
     def run(self) -> None:
         try:
@@ -412,7 +417,7 @@ class _ClockPass:
                 self._pass()
             except ValueError:
                 # Scalar replay checks every earlier access first.
-                self._check_window()
+                self._check_batch()
                 raise
         except RaceException as exc:
             self.race = exc
@@ -436,8 +441,8 @@ class _ClockPass:
         def advance(tid: int) -> None:
             row = clocks[tid]
             if row[tid] & cmax == cmax:
-                # Rollover: the window's writes come before the reset.
-                self._check_window()
+                # Rollover: the batch's writes come before the reset.
+                self._check_batch()
                 detector.reset_metadata()
                 for t in clocks:
                     clocks[t] = fresh[t]
@@ -506,32 +511,34 @@ class _ClockPass:
             for rank, tid in enumerate(plan.tids):
                 s = len(plan.sync_names) + rank
                 position = self._close(s, clocks.get(tid), position)
-            self._check_window()
+            self._check_batch()
         finally:
             detector.install_clocks(clocks, locks, free)
             detector.stats.sync_ops += sync_ops
 
     def _close(self, s: int, row: Tuple[int, ...], base: int) -> int:
         """Check segment ``s``, which starts at replay position ``base``,
-        against ``row``: into the window, or alone after the window.  A
-        segment is closed once (a Join closes its child's ahead of the
-        child's next sync); returns the replay position after it."""
+        against ``row``: into the open batch, after checking the batch
+        first if it holds the other kind of segment.  A segment is
+        closed once (a Join closes its child's ahead of the child's next
+        sync); returns the replay position after it."""
         shared, length = self.shared[s], self.length[s]
         self.shared[s] = self.length[s] = 0
         if shared:
             long_segment = shared >= self.monitor.detector.BATCH_MIN
-            if long_segment:
-                self._check_window()
+            if long_segment != self._long:
+                self._check_batch()
+                self._long = long_segment
             self._segs.append(s)
             self._rows.append(row)
             self._bases.append(base)
             self._size += self.nbytes[s]
-            if long_segment or self._size >= WINDOW_BYTES:
-                self._check_window()
+            if self._size >= WINDOW_BYTES:
+                self._check_batch()
         return base + length
 
-    def _check_window(self) -> None:
-        """Check the open window's segments in one ``check_block`` call."""
+    def _check_batch(self) -> None:
+        """Check the open batch's segments in one ``check_block`` call."""
         if not self._segs:
             return
         plan = self.plan
@@ -544,7 +551,7 @@ class _ClockPass:
         segments[:, 1:] = rows
         starts = plan.seg_start[segs]
         lengths = plan.seg_end[segs] - starts
-        if segs.size == 1:  # a long segment: views, not copies
+        if segs.size == 1:  # one segment: views, not copies
             src: Any = slice(int(starts[0]), int(starts[0] + lengths[0]))
         else:
             src = np.arange(int(lengths.sum())) + np.repeat(
@@ -554,7 +561,8 @@ class _ClockPass:
         monitor = self.monitor
         try:
             monitor.check_block(segments, (
-                plan.kinds[src] == 1, plan.addresses[src], plan.sizes[src],
+                plan.kinds[src] == 1, plan.addresses[src],
+                plan.sizes[src].astype(np.int64),
                 plan.private[src], seg,
             ))
         except RaceException:
@@ -610,40 +618,39 @@ def _hot_sites(
 ) -> List[Dict[str, Any]]:
     """Top ``top_k`` shared addresses by access count, reads/writes split.
 
-    Pure column arithmetic over the replay plan (no detector state):
-    per-thread ``np.unique`` histograms of shared read/write start
-    addresses, merged across threads, ranked by total accesses with the
-    address as deterministic tie-break.  When the analysis found a race
-    the racing address is flagged in its entry.
+    Pure column arithmetic over the replay plan (no detector state): one
+    ``np.unique`` over every thread's shared start addresses, counts of
+    its accesses and writes and of its distinct (address, thread) pairs
+    (a stable sort, not the hashed ``np.unique``, which costs a service
+    worker about 1.5 MB of resident memory), ranked by total accesses
+    with the address as deterministic tie-break.  When the analysis
+    found a race the racing address is flagged in its entry.
     """
-    reads: Dict[int, int] = {}
-    writes: Dict[int, int] = {}
-    threads: Dict[int, set] = {}
-    for tid, lo, hi in zip(plan.tids, [0, *plan.ends], plan.ends):
-        kinds = plan.kinds[lo:hi]
-        shared = (kinds != 2) & ~plan.private[lo:hi]
-        for counts, mask in ((reads, kinds == 0), (writes, kinds == 1)):
-            addrs, tallies = np.unique(
-                plan.addresses[lo:hi][shared & mask], return_counts=True
-            )
-            for addr, n in zip(addrs.tolist(), tallies.tolist()):
-                counts[addr] = counts.get(addr, 0) + n
-                threads.setdefault(addr, set()).add(tid)
-    race_addr = race.get("address") if race else None
-    ranked = sorted(
-        set(reads) | set(writes),
-        key=lambda a: (-(reads.get(a, 0) + writes.get(a, 0)), a),
+    shared = (plan.kinds != 2) & ~plan.private
+    at = np.flatnonzero(shared)
+    sites, site = np.unique(plan.addresses[at], return_inverse=True)
+    accesses = np.bincount(site, minlength=sites.size)
+    writes = np.bincount(site[plan.kinds[at] == 1], minlength=sites.size)
+    width = len(plan.tids)
+    pairs = np.sort(
+        site * width + np.searchsorted(plan.ends, at, "right"), kind="stable"
     )
+    distinct = np.empty(pairs.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
+    threads = np.bincount(pairs[distinct] // width, minlength=sites.size)
+    race_addr = race.get("address") if race else None
     return [
         {
-            "address": addr,
-            "accesses": reads.get(addr, 0) + writes.get(addr, 0),
-            "reads": reads.get(addr, 0),
-            "writes": writes.get(addr, 0),
-            "threads": len(threads.get(addr, ())),
-            "racy": addr == race_addr,
+            "address": int(sites[i]),
+            "accesses": int(accesses[i]),
+            "reads": int(accesses[i] - writes[i]),
+            "writes": int(writes[i]),
+            "threads": int(threads[i]),
+            "racy": int(sites[i]) == race_addr,
         }
-        for addr in ranked[:top_k]
+        # ``sites`` ascend, so a stable sort breaks ties by address.
+        for i in np.argsort(-accesses, kind="stable")[:top_k].tolist()
     ]
 
 

@@ -62,6 +62,18 @@ def _expand(
     return starts, acc_idx, baddr
 
 
+def _accesses(acc_idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The distinct access indices of the bytes ``mask`` selects from an
+    expanded run (``acc_idx`` is non-decreasing)."""
+    acc = acc_idx[mask]
+    if acc.size:
+        keep = np.empty(acc.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(acc[1:], acc[:-1], out=keep[1:])
+        acc = acc[keep]
+    return acc
+
+
 @dataclass
 class AccessStats:
     """Counters describing the detector's dynamic behaviour.
@@ -427,10 +439,9 @@ class CleanDetector(DetectorBackend):
         thread's tid, then the epoch-encoded elements of the vector clock
         that thread held when the segment ended (``max_threads`` of
         them).  ``block`` is columnar ``(is_write, address, size,
-        segment)``;
-        ``segment`` (non-decreasing) indexes ``segments``.  Offline
-        replay only: there a sync commit ends every segment, so each
-        starts with an empty written-this-epoch set.
+        segment)``; ``segment`` (non-decreasing) indexes ``segments``.
+        Offline replay only: there a sync commit ends every segment, so
+        each starts with an empty written-this-epoch set.
 
         Semantics are identical to the scalar hook loop over the
         segments in order — same verdicts, same exception at the same
@@ -441,23 +452,27 @@ class CleanDetector(DetectorBackend):
         join: each byte's last earlier write in the block leaves its
         segment's epoch as the byte's effective epoch (bytes no earlier
         write covers read the shadow), and an access is a same-epoch hit
-        iff its own segment wrote each of its bytes before.  The join
-        takes one of two ways:
+        iff its own segment wrote each of its bytes before.  The block
+        itself chooses the join:
 
-        * **one segment** — a scratch table keyed by address offset (or,
-          for a block spanning more than ``_DENSE_SPAN`` addresses, by
-          distinct-byte rank) finds each byte's first write; every later
-          access of the byte sees the segment's own epoch;
-        * **several segments** — a stable sort by (byte, block position)
-          finds each byte's last earlier write.
+        * **a run** (every segment has ``BATCH_MIN`` or more accesses) —
+          segment by segment, a table keyed by address offset (or, for a
+          block spanning more than ``_DENSE_SPAN`` addresses, by
+          distinct-byte rank) finds each byte's first write in its
+          segment, and the shadow (a copy of its epochs where its flat
+          window does not hold the block) gives each byte its epoch when
+          the segment began, then takes the segment's writes;
+        * **a window** (shorter segments) — one sort by (byte, block
+          position) finds each byte's last earlier write.
 
         Every Figure-2 comparison then runs in one vectorized pass
         against the accessing segment's clock.  The clean prefix before
         the first flagged access commits (its counters and its final
-        writers); the flagged access re-runs through the genuine scalar
-        path, its segment's committed accesses seeding the written set,
-        and raises with the exact counters and exception the loop would
-        have; the rest of the block is re-screened the same way.
+        writers; a run rolls the shadow back to it); the flagged access
+        re-runs through the genuine scalar path, its segment's committed
+        accesses seeding the written set, and raises with the exact
+        counters and exception the loop would have; the rest of the
+        block is re-screened the same way.
         """
         is_write, addr, size, seg = block
         n = int(addr.size)
@@ -482,32 +497,76 @@ class CleanDetector(DetectorBackend):
         rows[:, :width] = segments[:, 1:]
         rows[:, width] = -1
         epochs = rows[np.arange(k), segments[:, 0]].astype(np.uint32)
-        if k == 1:
-            byte_seg = 0
-            lo = int(baddr.min())
-            span = int(baddr.max()) - lo + 1
+        installs = epochs[seg][acc_idx]
+        shadow = self.shadow
+        lo, hi = int(baddr.min()), int(baddr.max())
+        span = hi - lo + 1
+        # Where each of the block's segments but the first begins.
+        cuts = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+        run = int(np.diff(cuts, prepend=0, append=n).min()) >= self.BATCH_MIN
+        if run:
+            # Tables keyed by address offset (or, for a block spanning
+            # more than ``_DENSE_SPAN`` addresses, by distinct-byte rank),
+            # one segment at a time.  ``store`` holds the keys' epochs:
+            # the shadow itself where its flat window holds the block,
+            # else a copy written back at the end.
             if span <= _DENSE_SPAN:
                 key = baddr - lo
+                store = shadow.view(lo, hi)
+                in_place = store is not None
+                if not in_place:
+                    store = np.empty(span, dtype=np.uint32)
+                    store[key] = shadow.gather(baddr)
             else:
                 distinct, key = np.unique(baddr, return_inverse=True)
                 span = distinct.size
+                store = shadow.gather(distinct)
+                in_place = False
+            # Per segment: its row, and its bytes and write bytes.
+            written = np.flatnonzero(byte_is_write)
+            w_key, w_acc = key[written], acc_idx[written]
+            heads = [0, *cuts.tolist()]
+            b_cut = [*starts[heads].tolist(), total]
+            w_cut = np.searchsorted(written, b_cut).tolist()
+            parts = list(zip(
+                seg[heads].tolist(), b_cut, b_cut[1:], w_cut, w_cut[1:]
+            ))
+            # Each byte's first write in its segment.  Taken in reverse,
+            # a later segment's entry lies past every access of this one,
+            # so it reads as no write at all.
             table = np.empty(span, dtype=np.int64)
-            table[key] = n
-            np.minimum.at(table, key[byte_is_write], acc_idx[byte_is_write])
-            first = table[key]
+            table[key] = n  # only the block's pages: it may be sparse
+            first = np.empty(total, dtype=np.int64)
+            for _s, b0, b1, w0, w1 in reversed(parts):
+                np.minimum.at(table, w_key[w0:w1], w_acc[w0:w1])
+                np.take(table, key[b0:b1], out=first[b0:b1])
+            # Each byte's epoch when its segment began: the store takes
+            # each segment's writes after its reads.
+            before = np.empty(total, dtype=np.uint32)
+            for s, b0, b1, w0, w1 in parts:
+                np.take(store, key[b0:b1], out=before[b0:b1])
+                store[w_key[w0:w1]] = epochs[s]
             own = first < acc_idx
-            eff = np.where(own, epochs[0], self.shadow.gather(baddr))
+            # Scratch goes as soon as it is used: it sets the peak.
+            del first, w_acc
+            eff = np.where(own, installs, before)
         else:
             # In (address, block position) order, the last write before
             # each byte is a running max of write positions; it is an
             # earlier write to the same byte iff it lies at or after the
-            # start of the byte's address group.
-            byte_seg = seg[acc_idx]
-            order = np.argsort(baddr, kind="stable")
-            s_addr = baddr[order]
-            s_seg = byte_seg[order]
-            s_write = byte_is_write[order]
+            # start of the byte's address group.  One sort of composite
+            # keys gives that order when they fit in int64.
             pos = np.arange(total)
+            if span * total < 1 << 63:
+                s_addr, order = np.divmod(
+                    np.sort((baddr - lo) * total + pos), total
+                )
+                s_addr += lo
+            else:
+                order = np.argsort(baddr, kind="stable")
+                s_addr = baddr[order]
+            s_seg = seg[acc_idx[order]]
+            s_write = byte_is_write[order]
             prev = np.empty(total, dtype=np.int64)
             prev[0] = -1
             prev[1:] = np.maximum.accumulate(np.where(s_write, pos, -1))[:-1]
@@ -517,13 +576,12 @@ class CleanDetector(DetectorBackend):
             joined = prev >= np.maximum.accumulate(np.where(group, pos, 0))
             writer = s_seg[prev]  # meaningful where ``joined`` only
             s_eff = np.where(
-                joined, epochs[writer], self.shadow.gather(s_addr)
+                joined, epochs[writer], shadow.gather(s_addr)
             )
             eff = np.empty_like(s_eff)
             eff[order] = s_eff
             own = np.empty(total, dtype=bool)
             own[order] = joined & (writer == s_seg)
-        hit = np.logical_and.reduceat(own, starts)
 
         # The Figure-2 predicate, per byte, in one comparison: vector
         # clock elements are epoch-encoded (Section 4.1), so a byte races
@@ -532,38 +590,46 @@ class CleanDetector(DetectorBackend):
         # compare against the -1 column and are re-checked by the scalar
         # path.  A hit's bytes carry its segment's epoch, so a hit never
         # fires.
-        writer_tid = np.minimum(
-            eff >> np.uint32(self.layout.clock_bits), width
-        )
-        racy = np.logical_or.reduceat(
-            eff > rows[byte_seg, writer_tid], starts
-        ).nonzero()[0]
-        done = int(racy[0]) if racy.size else n
+        limit = (seg * (width + 1))[acc_idx]
+        limit += np.minimum(eff >> np.uint32(self.layout.clock_bits), width)
+        flagged = eff > np.take(rows, limit, out=limit)
+        del limit
+        done = int(acc_idx[flagged.argmax()]) if flagged.any() else n
+        begin = int(np.searchsorted(seg, seg[done])) if done < n else n
 
+        prefix = int(starts[done]) if done < n else total
         hits = 0
         if done > 0:
-            prefix = int(starts[done]) if done < n else total
             hits = self._account(
-                done, prefix, is_write, size, starts, acc_idx,
-                byte_is_write, eff, epochs[byte_seg], hit,
+                done, prefix, is_write, size, acc_idx, byte_is_write, eff,
+                installs, own,
             )
-            # Each byte's last write in the prefix leaves its segment's
-            # epoch behind.
-            if k == 1:
-                self.shadow.scatter(
-                    baddr[:prefix][first[:prefix] == acc_idx[:prefix]],
-                    epochs[0],
-                )
-            else:
-                final = s_write & (order < prefix)
-                w_addr = s_addr[final]
-                if w_addr.size:
-                    last = np.empty(w_addr.size, dtype=bool)
-                    last[-1] = True
-                    np.not_equal(w_addr[1:], w_addr[:-1], out=last[:-1])
-                    self.shadow.scatter(
-                        w_addr[last], epochs[s_seg[final][last]]
-                    )
+        # Each byte's last write in the prefix leaves its segment's epoch
+        # behind.
+        if run:
+            if done < n:
+                # Roll the store back to where the flagged segment began
+                # (each key to the epoch its first byte from there read),
+                # then apply the segment's writes before the flag.
+                later = np.arange(int(starts[begin]), total)
+                table[key[later]] = total
+                np.minimum.at(table, key[later], later)
+                at = later[table[key[later]] == later]
+                store[key[at]] = before[at]
+                at = written[np.searchsorted(written, later[0]):
+                             np.searchsorted(written, prefix)]
+                store[key[at]] = epochs[seg[done]]
+            if not in_place:
+                at = written[: np.searchsorted(written, prefix)]
+                shadow.scatter(baddr[at], store[key[at]])
+        elif done > 0:
+            final = s_write & (order < prefix)
+            w_addr = s_addr[final]
+            if w_addr.size:
+                last = np.empty(w_addr.size, dtype=bool)
+                last[-1] = True
+                np.not_equal(w_addr[1:], w_addr[:-1], out=last[:-1])
+                shadow.scatter(w_addr[last], epochs[s_seg[final][last]])
         self.block_hits = hits
         if done == n:
             return
@@ -571,7 +637,6 @@ class CleanDetector(DetectorBackend):
         # The flagged access through the genuine scalar path, after its
         # segment's committed accesses seed the written set; only a
         # conservative flag (foreign tid) gets past it.
-        begin = int(np.searchsorted(seg, seg[done]))
         end = int(np.searchsorted(seg, seg[done], side="right"))
         for lo, hi in ((begin, end), (end, n)):
             if lo == hi:
@@ -638,23 +703,24 @@ class CleanDetector(DetectorBackend):
         prefix: int,
         is_write: np.ndarray,
         size: np.ndarray,
-        starts: np.ndarray,
         acc_idx: np.ndarray,
         byte_is_write: np.ndarray,
         eff: np.ndarray,
-        own: object,
-        hit: np.ndarray,
+        installs: np.ndarray,
+        own: np.ndarray,
     ) -> int:
         """Add the counter trail the scalar loop leaves for the first
         ``done`` accesses (``prefix`` bytes) of an expanded run.
 
-        ``eff`` is each byte's epoch when its access ran, ``own`` the
-        epoch its access installs (one value, or one per byte) and
-        ``hit`` marks the same-epoch hits.  Returns how many of the
-        ``done`` accesses are hits.
+        ``eff`` is each byte's epoch when its access ran, ``installs``
+        the epoch its access installs and ``own`` marks the bytes its
+        own segment wrote before: an access whose bytes all are is a
+        same-epoch hit.  Returns how many of the ``done`` accesses are
+        hits.
         """
         stats = self.stats
         psz = size[:done]
+        acc, eff = acc_idx[:prefix], eff[:prefix]
         n_writes = int(np.count_nonzero(is_write[:done]))
         n_written = int(np.count_nonzero(byte_is_write[:prefix]))
         stats.writes += n_writes
@@ -662,35 +728,28 @@ class CleanDetector(DetectorBackend):
         stats.written_bytes += n_written
         stats.read_bytes += prefix - n_written
         stats.accesses_ge_4_bytes += int(np.count_nonzero(psz >= 4))
-        multi = psz > 1
-        stats.multibyte_accesses += int(np.count_nonzero(multi))
-        eff = eff[:prefix]
-        uniform = np.logical_and.reduceat(
-            eff == eff[starts[:done]][acc_idx[:prefix]], starts[:done]
-        )
-        if isinstance(own, np.ndarray):
-            own = own[:prefix]
-        updated = byte_is_write[:prefix] & (eff != own)
+        n_multi = int(np.count_nonzero(psz > 1))
+        stats.multibyte_accesses += n_multi
         # A hit is accounted as note_same_epoch does: one epoch for all
-        # its bytes, no shadow traffic.
-        hit = hit[:done]
-        uniform |= hit
-        updated &= ~hit[acc_idx[:prefix]]
-        n_hits = int(np.count_nonzero(hit))
-        checked_bytes = prefix - int(psz[hit].sum())
-        one = multi & uniform
-        n_one = int(np.count_nonzero(one))
-        stats.multibyte_uniform_epoch += n_one
-        stats.epoch_comparisons += n_one + int(psz[~one].sum())
+        # its bytes, no shadow traffic.  Its bytes all carry the epoch
+        # it installs, so it is uniform and updates nothing.
+        checked = _accesses(acc, ~own[:prefix])
+        mixed = _accesses(
+            acc[1:], (eff[1:] != eff[:-1]) & (acc[1:] == acc[:-1])
+        )
+        stats.multibyte_uniform_epoch += n_multi - mixed.size
+        stats.epoch_comparisons += done - mixed.size + int(psz[mixed].sum())
 
         # Shadow traffic the scalar loop would have generated: one load
         # per checked byte, one (always-successful — the run is
         # unpreempted) CAS per foreign-epoch checked write byte.
-        n_updated = int(np.count_nonzero(updated))
+        n_updated = int(np.count_nonzero(
+            byte_is_write[:prefix] & (eff != installs[:prefix])
+        ))
         stats.epoch_updates += n_updated
-        self.shadow.loads += checked_bytes
+        self.shadow.loads += int(psz[checked].sum())
         self.shadow.stores += n_updated
-        return n_hits
+        return done - checked.size
 
     # -- recovery hooks -------------------------------------------------------
     #

@@ -21,7 +21,7 @@ reset.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -240,6 +240,15 @@ class FlatShadow:
         self.resets += 1
 
     # -- batch surface (uncounted; batch callers account explicitly) --------
+
+    def view(self, lo: int, hi: int) -> Optional["np.ndarray"]:
+        """The epochs of addresses ``lo`` to ``hi`` as a writable view of
+        the flat array (valid until the next reset), uncounted; ``None``
+        when the window does not hold them all."""
+        if lo < 0 or hi >= self._window:
+            return None
+        self._ensure(hi + 1)
+        return self._epochs[lo : hi + 1]
 
     def gather(self, addresses: "np.ndarray") -> "np.ndarray":
         """Epochs at ``addresses`` (a ``uint64`` array), uncounted.

@@ -1,10 +1,11 @@
-"""The one-segment side of the batch kernel against the per-access loop.
+"""The table side of the batch kernel against the per-access loop.
 
-``CleanMonitor.check_block`` hands a whole synchronization-free segment
-to ``CleanDetector.check_block``, which, for a one-segment block, finds
-each byte's first write in a table keyed by address, classifies the
-same-epoch hits and checks every access in one vectorized pass.  A
-replayed segment always starts with an empty written-this-epoch set.
+``CleanMonitor.check_block`` hands whole synchronization-free segments
+to ``CleanDetector.check_block``, which, for a block of long segments
+(``BATCH_MIN`` or more accesses each), finds each byte's first write in
+its segment in a table keyed by address, classifies the same-epoch hits
+and checks every access in one vectorized pass.  A replayed segment
+always starts with an empty written-this-epoch set.
 These tests pin that pass to the scalar loop (``CleanMonitor._check_one``
 per access):
 
@@ -16,7 +17,7 @@ per access):
    counters and shadow.
 2. **Analysis level** — recorded benchmark traces: scalar and batch
    analysis agree on verdict, race (including its position) and
-   counters, and the one-segment side ran.
+   counters, and the table side ran.
 3. **Rollover** — a detector reset fired by another thread's release
    ends every same-epoch hit, on both lanes.
 """
@@ -161,15 +162,17 @@ class TestBlockProperty:
 
 def _count_lane(monkeypatch):
     """Record, per ``CleanDetector.check_block`` call, which join side it
-    took (``"one"`` or ``"several"`` segments, ``None`` below
-    ``BATCH_MIN``) and whether it raised."""
+    took (``"table"`` when every segment has ``BATCH_MIN`` or more
+    accesses, else ``"sort"``; ``None`` below ``BATCH_MIN`` in all) and
+    whether it raised."""
     calls = []
     original = CleanDetector.check_block
 
     def counting(self, segments, block):
         side = None
         if len(block[1]) >= self.BATCH_MIN:
-            side = "one" if len(segments) == 1 else "several"
+            counts = np.unique(block[3], return_counts=True)[1]
+            side = "table" if counts.min() >= self.BATCH_MIN else "sort"
         call = {"side": side, "raised": False}
         calls.append(call)
         try:
@@ -194,7 +197,7 @@ class TestAnalysisLane:
         calls = _count_lane(monkeypatch)
         batch = analyze_trace(trace, mode="batch")
 
-        assert any(call["side"] == "one" for call in calls)
+        assert any(call["side"] == "table" for call in calls)
         assert batch.racy == scalar.racy == racy
         assert batch.race == scalar.race
         assert batch.counters == scalar.counters
@@ -202,7 +205,7 @@ class TestAnalysisLane:
             # The race surfaced inside the vector lane, and the lane
             # still reports the raising access's trace position.
             assert any(
-                call["side"] == "one" and call["raised"] for call in calls
+                call["side"] == "table" and call["raised"] for call in calls
             )
             assert batch.race["position"] is not None
 

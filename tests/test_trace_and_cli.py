@@ -9,10 +9,12 @@ import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.__main__ import main as cli_main
-from repro.analysis import analyze_trace
+from repro.analysis import _hot_sites, _Plan, analyze_trace
 from repro.experiments.traces import record_trace
 from repro.hardware import SimConfig, simulate_trace
 from repro.runtime.trace import (
@@ -382,3 +384,67 @@ class TestLazyImports:
             for name in package.__all__:
                 assert getattr(package, name) is not None
             assert set(package.__all__) <= set(dir(package))
+
+
+def _hot_sites_reference(per_thread, top_k, race_addr):
+    """The hot-site ranking in plain Python: per shared address, its
+    reads, writes and threads, by (-accesses, address)."""
+    reads, writes, threads = {}, {}, {}
+    for tid, events in per_thread.items():
+        for event in events:
+            if event.kind == SYNC or event.private:
+                continue
+            counts = writes if event.kind == WRITE else reads
+            counts[event.address] = counts.get(event.address, 0) + 1
+            threads.setdefault(event.address, set()).add(tid)
+    ranked = sorted(
+        threads, key=lambda a: (-reads.get(a, 0) - writes.get(a, 0), a)
+    )
+    return [
+        {
+            "address": a,
+            "accesses": reads.get(a, 0) + writes.get(a, 0),
+            "reads": reads.get(a, 0),
+            "writes": writes.get(a, 0),
+            "threads": len(threads[a]),
+            "racy": a == race_addr,
+        }
+        for a in ranked[:top_k]
+    ]
+
+
+#: (is_write, address, size, private): few addresses, so counts tie.
+_site_events = st.lists(
+    st.tuples(
+        st.booleans(), st.sampled_from([0x1000 + 8 * i for i in range(6)]),
+        st.sampled_from([1, 4, 8]), st.integers(0, 4).map(lambda d: d == 0),
+    ),
+    max_size=30,
+)
+
+
+class TestHotSites:
+    """The vectorized hot-site ranking equals the plain-Python one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        threads=st.lists(_site_events, min_size=1, max_size=4),
+        top_k=st.integers(1, 8),
+        racy=st.booleans(),
+    )
+    def test_equals_reference(self, threads, top_k, racy):
+        per_thread = {
+            tid: [TraceEvent(WRITE if w else READ, a, n, private=p)
+                  for w, a, n, p in events]
+            for tid, events in enumerate(threads)
+        }
+        per_thread[0][:0] = [
+            TraceEvent(SYNC, tid, sync_name=f"Spawn:{tid}")
+            for tid in range(1, len(threads))
+        ]
+        race_addr = 0x1008 if racy else None
+        race = {"address": race_addr} if racy else None
+        plan = _Plan(Trace(per_thread=per_thread))
+        assert _hot_sites(plan, top_k, race) == _hot_sites_reference(
+            per_thread, top_k, race_addr
+        )

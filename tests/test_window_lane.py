@@ -1,12 +1,12 @@
-"""The batch lane — the clock pass and the several-segment side of the
+"""The batch lane — the clock pass and the several-segment sides of the
 batch kernel — against the per-access loop it replaces.
 
 In batch analysis the clock pass applies the syncs to clock rows of its
-own, and a segment (one thread's accesses up to its next sync) with
-fewer than ``BATCH_MIN`` shared accesses joins a window with its
-thread's row; ``CleanMonitor.check_block`` then checks the whole window
-against those rows at once.  These tests pin that lane to the scalar
-hooks:
+own, and a segment (one thread's accesses up to its next sync) joins an
+open batch with its thread's row: a window of segments with fewer than
+``BATCH_MIN`` shared accesses, or a run of longer ones.
+``CleanMonitor.check_block`` then checks the whole batch against those
+rows at once.  These tests pin that lane to the scalar hooks:
 
 1. **Analysis property** — random programs (3-4 threads, race-free and
    racy, epoch layouts small enough that clocks roll over): batch and
@@ -16,18 +16,23 @@ hooks:
    and unordered writers (and epochs whose expanded bit makes the
    vectorized predicate conservative): ``check_block`` leaves the same
    exception, counters and shadow as the per-event hooks run against
-   each segment's recorded clock.
+   each segment's recorded clock, and as one call per segment.
 3. **Oracle** — random racy programs: scalar and batch analysis report
    a race iff the full vector-clock detector, replayed in the same
    order, records a WAW or RAW race, and name one it recorded.
 4. **Rollover** — the window is checked before the advance that resets
    every epoch, including the fork of a reused tid no live clock
    announces.
-5. **Clock pass** — the detector ends where per-sync replay leaves it,
-   and batch analysis holds one window's memory at a time.
+5. **Runs** — consecutive long segments checked in one call: batch
+   equals scalar, and one call per segment, across a shared epoch, a
+   race or a conservative flag in a later segment, a rollover, sparse
+   and spilled addresses, and the window join's overflow fallback.
+6. **Clock pass** — the detector ends where per-sync replay leaves it,
+   and batch analysis holds one batch's memory at a time.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -81,12 +86,16 @@ def record_only(program, sseed):
 
 def _count_kernel():
     """Patch ``CleanDetector.check_block`` to record, per call, how many
-    segments and accesses it got."""
+    segments and accesses it got and the join its block takes:
+    ``"table"`` when each of its segments has ``BATCH_MIN`` or more
+    accesses, else ``"sort"``."""
     calls = []
     original = CleanDetector.check_block
 
     def counting(self, segments, block):
-        calls.append((len(segments), int(block[1].size)))
+        counts = np.unique(block[3], return_counts=True)[1]
+        side = "table" if counts.min() >= self.BATCH_MIN else "sort"
+        calls.append((len(segments), int(block[1].size), side))
         return original(self, segments, block)
 
     return calls, mock.patch.object(CleanDetector, "check_block", counting)
@@ -213,19 +222,23 @@ def _replay(window, lane):
         clocks.append(detector.thread_vc(tid).copy())
         rows += [(w, a + shift, n, p, s) for w, a, n, p in block]
     race = index = None
-    if lane == "kernel":
+    if lane in ("kernel", "segments"):
+        # One kernel call for the window, or one per segment.
         w, a, n, p, seg = (np.array(col) for col in zip(*rows))
+        matrix = np.array(
+            [(tid, *vc) for tid, vc in zip(tids, clocks)], dtype=np.int64
+        )
+        block = (w.astype(bool), a, n, p.astype(bool), seg)
+        cuts = [0, len(seg)]
+        if lane == "segments":
+            cuts = [0, *np.flatnonzero(np.diff(seg)) + 1, len(seg)]
         try:
-            monitor.check_block(
-                np.array(
-                    [(tid, *vc) for tid, vc in zip(tids, clocks)],
-                    dtype=np.int64,
-                ),
-                (w.astype(bool), a, n, p.astype(bool), seg),
-            )
+            for lo, hi in zip(cuts, cuts[1:]):
+                index = lo
+                monitor.check_block(matrix, tuple(c[lo:hi] for c in block))
         except RaceException as exc:
-            race, index = exc, monitor.block_progress
-        return _outcome(monitor, race, index)
+            race, index = exc, index + monitor.block_progress
+        return _outcome(monitor, race, index if race is not None else None)
     # The per-event hooks, each segment against its recorded clock and
     # with the empty written set a replayed segment starts from.
     live = {tid: detector.thread_vc(tid) for tid in set(tids)}
@@ -267,7 +280,44 @@ class TestKernelProperty:
     )
     def test_window_equals_per_access_hooks(self, window, batch_min):
         with mock.patch.object(CleanDetector, "BATCH_MIN", batch_min):
-            assert _replay(window, "kernel") == _replay(window, "hooks")
+            kernel = _replay(window, "kernel")
+            assert kernel == _replay(window, "hooks")
+            assert kernel == _replay(window, "segments")
+
+
+class TestConservativeFlagInARun:
+    """A byte carrying its own thread's epoch with the expanded bit set
+    is flagged by the vectorized predicate (its tid bits fall outside
+    the clock) and cleared by the scalar re-run.  In a run, the segments
+    after the flagged one have already written through the shadow: the
+    kernel must roll them back, re-run the flagged segment, then check
+    the rest, ending where the per-event hooks and one call per segment
+    end."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_flag_in_the_kth_segment(self, k):
+        segments = []
+        for i in range(3):
+            block = [(True, 64, 8, False), (False, 64, 8, False),
+                     (True, 72, 4, False), (False, 60, 8, False)]
+            if i == k:
+                block[2:2] = [(False, 80, 4, False), (True, 80, 8, False)]
+            elif i > k:
+                block.append((True, 80, 8, False))
+            segments.append((0, [(0, True)] if i else [], block))
+        window = {"seed": [(0, 80, 4, True)], "segments": segments,
+                  "far": False}
+        rerun = mock.patch.object(
+            CleanDetector, "_replay_segments", autospec=True,
+            side_effect=CleanDetector._replay_segments,
+        )
+        with mock.patch.object(CleanDetector, "BATCH_MIN", 4):
+            with rerun as spy:
+                kernel = _replay(window, "kernel")
+            assert spy.call_count == 1  # the flagged segment only
+            assert kernel == _replay(window, "hooks")
+            assert kernel == _replay(window, "segments")
+        assert kernel["race"] is None
 
 
 # -- both lanes against the oracle --------------------------------------------
@@ -317,22 +367,26 @@ class TestOracle:
 
     def test_both_join_sides_run(self):
         """With a low ``BATCH_MIN`` the random programs reach both the
-        one-segment and the several-segment side of the kernel."""
+        table side of the kernel and its sort side, each with several
+        segments: runs of long segments, and windows of short ones.
+        (At ``BATCH_MIN`` 1 every segment with an access is long.)"""
         sides = set()
-        for seed in range(6):
+        for seed, batch_min in itertools.product(range(6), (1, 2)):
             program, _plan = make_random_program(
                 seed, n_threads=4, ops_per_thread=30, race_probability=0.3
             )
             trace = record_only(program, seed)
             calls, counting = _count_kernel()
-            with counting, mock.patch.object(CleanDetector, "BATCH_MIN", 2):
+            with counting, mock.patch.object(
+                CleanDetector, "BATCH_MIN", batch_min
+            ):
                 analyze_trace(trace, mode="batch")
             sides.update(
-                "one" if segments == 1 else "several"
-                for segments, accesses in calls
+                (side, segments > 1)
+                for segments, accesses, side in calls
                 if accesses >= 2
             )
-        assert sides == {"one", "several"}
+        assert {("table", True), ("sort", True)} <= sides
 
 
 # -- rollover -----------------------------------------------------------------
@@ -427,6 +481,127 @@ class TestRollover:
         assert not scalar.racy
         assert batch.to_payload() | {"mode": "scalar"} == scalar.to_payload()
         assert "check" in log[: log.index("reset")]
+
+
+# -- runs of long segments ----------------------------------------------------
+
+N = CleanDetector.BATCH_MIN
+
+
+def _run_of(kind, base, stride=8):
+    """``N`` 8-byte accesses of ``kind`` ("W" or "R"), ``stride`` apart."""
+    return [(kind, base + stride * i) for i in range(N)]
+
+
+def _three_ways(trace, layout=None):
+    """Analyze ``trace`` scalar, batch, and batch with one kernel call
+    per segment: the payloads must agree apart from ``mode``.  Returns
+    the scalar report and the batch lane's kernel calls."""
+    layout = layout or EpochLayout()
+    scalar = analyze_trace(trace, mode="scalar", layout=layout)
+    calls, counting = _count_kernel()
+    with counting:
+        batch = analyze_trace(trace, mode="batch", layout=layout)
+    with mock.patch.object(repro.analysis, "WINDOW_BYTES", 1):
+        alone = analyze_trace(trace, mode="batch", layout=layout)
+    expected = scalar.to_payload() | {"mode": "batch"}
+    assert batch.to_payload() == expected
+    assert alone.to_payload() == expected
+    return scalar, calls
+
+
+def _ran_a_run(calls):
+    return any(side == "table" and segments > 1
+               for segments, _accesses, side in calls)
+
+
+class TestRuns:
+    """Consecutive long segments go to the kernel together, as a *run*,
+    and its table join takes them one at a time against the shadow.
+    Batch analysis must still print what scalar analysis prints, and
+    what batch analysis prints with one kernel call per segment."""
+
+    def test_segments_split_by_an_acquire_share_an_epoch(self):
+        """An acquire of a lock nobody released leaves the clock as it
+        is: the second segment writes with the first one's epoch, yet
+        its reads of the first one's bytes are checks, not hits."""
+        trace = _ordered({0: [
+            *_run_of("W", X), *_run_of("R", X), (1, "Acquire:L"),
+            *_run_of("R", X), *_run_of("W", X), (2, "Release:L"),
+        ]})
+        scalar, calls = _three_ways(trace)
+        assert _ran_a_run(calls)
+        assert scalar.counters["clean.same_epoch.hits"] == N
+        assert scalar.counters["clean.same_epoch.misses"] == 3 * N
+        assert scalar.counters["clean.epoch_updates"] == 8 * N
+
+    @pytest.mark.parametrize("racy", [0, 1, 2, 3])
+    @pytest.mark.parametrize("base,stride", [
+        (X, 8),  # dense: the table keys are address offsets
+        (X, 1 << 15),  # sparser than _DENSE_SPAN: distinct-byte ranks
+        ((1 << 24) + X, 8),  # past the flat shadow's window: the spill
+    ])
+    def test_race_in_a_later_segment_of_a_run(self, racy, base, stride):
+        """Thread 1's long segment, then three of thread 0 that rewrite
+        one range under a new epoch each; with ``racy`` k, thread 0's
+        k-th segment reads thread 1's unordered write mid-way."""
+        y = base + N * stride
+        per_thread = {
+            0: [(1, "Spawn:1")], 1: [*_run_of("W", y), (2, "Release:M")],
+        }
+        for i in range(3):
+            accesses = _run_of("W", base, stride)
+            if i + 1 == racy:
+                accesses[N // 2] = ("R", y)
+            per_thread[0] += [*accesses, (3 + i, f"Release:A{i}")]
+        scalar, calls = _three_ways(_ordered(per_thread))
+        assert _ran_a_run(calls)
+        assert scalar.racy == bool(racy)
+        if racy:
+            assert scalar.race["kind"] == "RAW"
+            assert scalar.race["address"] == y
+
+    @pytest.mark.parametrize("clock_bits", [2, 3])
+    def test_rollover_between_long_segments(self, clock_bits):
+        """The root's releases roll its clock over between two of its
+        long segments; thread 1 reads the range after acquiring."""
+        per_thread = {0: [(1, "Spawn:1")], 1: [(20, "Acquire:L"),
+                                               *_run_of("R", X),
+                                               (21, "Release:M")]}
+        for i in range(8):
+            per_thread[0] += [*_run_of("W", X), (2 + i, "Release:L")]
+        scalar, calls = _three_ways(
+            _ordered(per_thread), EpochLayout(clock_bits=clock_bits)
+        )
+        assert _ran_a_run(calls)
+        assert scalar.counters["clean.rollovers"] >= 1
+        assert not scalar.racy
+
+    @pytest.mark.parametrize("racy", [False, True])
+    def test_window_key_overflow_falls_back_to_argsort(self, racy):
+        """A window of short segments whose bytes span 2**62 addresses:
+        its composite sort keys would overflow int64, so the sort join
+        takes the stable argsort instead."""
+        far = 1 << 62
+        per_thread = {0: [(1, "Spawn:1")], 1: [("W", far), (2, "Release:M")]}
+        for i in range(8):
+            access = ("R", far) if racy and i == 5 else ("W", far + 8 + 8 * i)
+            per_thread[0] += [("W", X + 8 * i), access, ("R", X),
+                              (3 + i, "Release:L")]
+        spans = []
+        check = CleanDetector.check_block
+
+        def spying(self, segments, block):
+            _is_write, addr, size, _seg = block
+            if addr.size >= self.BATCH_MIN:
+                spans.append(int(addr.max() + size.max() - addr.min())
+                             * int(size.sum()))
+            return check(self, segments, block)
+
+        with mock.patch.object(CleanDetector, "check_block", spying):
+            _three_ways(_ordered(per_thread))
+        assert max(spans) >= 1 << 63
+        assert analyze_trace(_ordered(per_thread)).racy == racy
 
 
 # -- the clock pass against per-sync replay -----------------------------------
