@@ -119,7 +119,8 @@ def _close_telemetry(exporter, registry) -> None:
 
 
 def _input_error(exc: Exception) -> int:
-    """Report an unreadable input on one stderr line; exit code 2."""
+    """Report an unreadable input or a bad argument on one stderr line;
+    exit code 2."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
 
@@ -542,23 +543,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry, tracer, exporter = _telemetry_session(args)
     slos = load_slo_config(args.slo) if args.slo else None
     spool = args.spool or tempfile.mkdtemp(prefix="repro-serve-")
-    service = RaceCheckService(
-        spool=spool,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        retries=args.retries,
-        mode=args.mode,
-        hot_sites=args.hot_sites,
-        quota_tokens=args.quota,
-        quota_refill_per_s=args.quota_refill,
-        job_timeout=args.job_timeout,
-        registry=registry,
-        tracer=tracer,
-        keep_traces=args.keep_traces,
-        crash_every=args.chaos_crash_every,
-        journal=journal,
-        dedup=not args.no_dedup,
-    )
+    try:
+        service = RaceCheckService(
+            spool=spool,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            retries=args.retries,
+            mode=args.mode,
+            hot_sites=args.hot_sites,
+            quota_tokens=args.quota,
+            quota_refill_per_s=args.quota_refill,
+            job_timeout=args.job_timeout,
+            registry=registry,
+            tracer=tracer,
+            keep_traces=args.keep_traces,
+            crash_every=args.chaos_crash_every,
+            journal=journal,
+            dedup=not args.no_dedup,
+        )
+    except ValueError as exc:
+        return _input_error(exc)
     daemon = ServeDaemon(
         service,
         host=args.host,

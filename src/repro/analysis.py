@@ -37,7 +37,7 @@ rejected with a clear error — re-record the trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Collection, Dict, List, Optional, Set, Tuple, Union
 
@@ -71,8 +71,10 @@ class AnalysisReport:
     hot_sites: List[Dict[str, Any]] = field(default_factory=list)
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready dict (the ``analyze --json`` output)."""
-        return asdict(self)
+        """JSON-ready dict (the ``analyze --json`` output): the report's
+        own field values, already JSON-ready, in a new top-level dict
+        that a caller may extend (no deep copy)."""
+        return dict(vars(self))
 
 
 # -- trace loading and the replay plan ----------------------------------------
@@ -390,8 +392,11 @@ class _ClockPass:
     before an advance that rolls the clocks over (the pass then resets
     the shadow and every row itself) and at the end; so each call takes
     one of the kernel's two joins, and a segment is never split.  Only
-    the open batch's rows and columns are held at any time.  The
-    detector ends where per-sync replay leaves it.
+    the open batch's rows and columns are held at any time.  A Release
+    assigns its row to the key instead of joining it when the releaser
+    owns the key: it joined the key at an Acquire, and nothing has
+    written the key since.  The detector ends where per-sync replay
+    leaves it.
     """
 
     def __init__(self, plan: _Plan, monitor: CleanMonitor) -> None:
@@ -428,6 +433,8 @@ class _ClockPass:
         layout = detector.layout
         width = detector.max_threads
         cmax = layout.clock_max
+        batch_min = detector.BATCH_MIN
+        window = WINDOW_BYTES
         base = tuple(layout.pack(t, 0) for t in range(width))
         fresh = [
             base[:t] + (base[t] + 1,) + base[t + 1:] for t in range(width)
@@ -435,7 +442,13 @@ class _ClockPass:
         clocks: Dict[int, Tuple[int, ...]] = {0: fresh[0]}
         free = list(range(width - 1, 0, -1))
         locks: Dict[Any, Tuple[int, ...]] = {}
+        # key -> the tid that joined it at an Acquire, while nothing has
+        # written it since: that thread's row dominates the key's, so
+        # its Release may assign instead of join (FastTrack's L := C_t).
+        owner: Dict[Any, int] = {}
         ops: Dict[str, Tuple[Any, ...]] = {}
+        shared, nbytes, length = self.shared, self.nbytes, self.length
+        segs, rows, bases = self._segs, self._rows, self._bases
         position = sync_ops = 0
 
         def advance(tid: int) -> None:
@@ -448,6 +461,7 @@ class _ClockPass:
                     clocks[t] = fresh[t]
                 for key in locks:
                     locks[key] = base
+                owner.clear()
                 row = clocks[tid]
             new = list(row)
             new[tid] += 1
@@ -458,7 +472,22 @@ class _ClockPass:
                 row = clocks.get(tid)
                 if row is None:
                     raise _not_running(tid, name)
-                position = self._close(i, row, position)
+                # Segment i joins the open batch here unless it fills the
+                # batch or switches its kind: then ``_close`` checks it.
+                n = shared[i]
+                if not n:
+                    position += length[i]
+                elif (
+                    (n >= batch_min) == self._long
+                    and self._size + nbytes[i] < window
+                ):
+                    segs.append(i)
+                    rows.append(row)
+                    bases.append(position)
+                    self._size += nbytes[i]
+                    position += length[i]
+                else:
+                    position = self._close(i, row, position)
                 op = ops.get(name)
                 if op is None:
                     op = ops[name] = _sync_op(name)
@@ -469,12 +498,21 @@ class _ClockPass:
                     lock = locks.get(key)
                     if lock is not None:
                         clocks[tid] = _join(row, lock)
+                    owner[key] = tid
                 elif code == _RELEASE or code == _BARRIER:
                     sync_ops += 1
                     key = op[1]
-                    lock = locks.get(key)
-                    locks[key] = row if lock is None else _join(lock, row)
-                    advance(tid)
+                    if owner.pop(key, None) == tid:
+                        locks[key] = row
+                    else:
+                        lock = locks.get(key)
+                        locks[key] = row if lock is None else _join(lock, row)
+                    if row[tid] & cmax == cmax:
+                        advance(tid)
+                    else:
+                        new = list(row)
+                        new[tid] += 1
+                        clocks[tid] = tuple(new)
                     if code == _BARRIER:
                         episode = plan.episodes.get(plan.trips.get(i), ())
                         for arriver in episode:
@@ -491,6 +529,7 @@ class _ClockPass:
                         lock = locks.get(key)
                         if lock is not None:
                             row = _join(row, lock)
+                        owner[key] = tid
                     clocks[tid] = row
                 elif code == _SPAWN:
                     child = plan.target(tid, "Spawn", op[1], clocks)
@@ -508,6 +547,10 @@ class _ClockPass:
                     advance(child)
                     clocks[tid] = _join(clocks[tid], clocks.pop(child))
                     free.append(child)
+                    # A Spawn may hand the child's tid a row that lacks
+                    # what it acquired.  Clearing every entry is amortized
+                    # O(1), where finding the child's would cost O(keys).
+                    owner.clear()
             for rank, tid in enumerate(plan.tids):
                 s = len(plan.sync_names) + rank
                 position = self._close(s, clocks.get(tid), position)
@@ -519,9 +562,10 @@ class _ClockPass:
     def _close(self, s: int, row: Tuple[int, ...], base: int) -> int:
         """Check segment ``s``, which starts at replay position ``base``,
         against ``row``: into the open batch, after checking the batch
-        first if it holds the other kind of segment.  A segment is
-        closed once (a Join closes its child's ahead of the child's next
-        sync); returns the replay position after it."""
+        first if it holds the other kind of segment, and checking it
+        after if the segment fills it.  A segment is closed once (a Join
+        closes its child's ahead of the child's next sync); returns the
+        replay position after it."""
         shared, length = self.shared[s], self.length[s]
         self.shared[s] = self.length[s] = 0
         if shared:
@@ -542,13 +586,16 @@ class _ClockPass:
         if not self._segs:
             return
         plan = self.plan
+        # Emptied in place: the pass appends to these lists directly.
         segs, rows, bases = np.array(self._segs), self._rows, self._bases
-        self._segs, self._rows, self._bases, self._size = [], [], [], 0
+        self._size = 0
         segments = np.empty(
             (segs.size, self.monitor.detector.max_threads + 1), dtype=np.int64
         )
         segments[:, 0] = plan.seg_tid[segs]
         segments[:, 1:] = rows
+        rows.clear()
+        self._segs.clear()
         starts = plan.seg_start[segs]
         lengths = plan.seg_end[segs] - starts
         if segs.size == 1:  # one segment: views, not copies
@@ -570,6 +617,7 @@ class _ClockPass:
             s = int(seg[index])
             self.race_position = bases[s] + index - int(lengths[:s].sum())
             raise
+        bases.clear()
 
 
 def _run_single(
@@ -671,10 +719,13 @@ def analyze_trace(
     verdicts, racing pairs and counter totals.  The detector holds as
     many threads as the trace's largest tid needs.  With ``hot_sites`` > 0
     the report additionally ranks the top-K shared addresses by access
-    count (the service's ``/report`` diagnostics).
+    count (the service's ``/report`` diagnostics); a negative
+    ``hot_sites`` raises :class:`ValueError`.
     """
     if mode not in ("scalar", "batch"):
         raise ValueError(f"unknown analysis mode {mode!r}")
+    if hot_sites < 0:
+        raise ValueError(f"hot_sites must be 0 or more, not {hot_sites}")
     if isinstance(trace, (str,)) or hasattr(trace, "__fspath__"):
         trace = open_trace(str(trace), salvage=salvage)
     plan = _Plan(trace, layout)

@@ -20,7 +20,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,20 +28,18 @@ from .core.detector import CleanDetector
 from .core.events import AccessEvent, DetectorBackend
 from .core.epoch import DEFAULT_LAYOUT, EpochLayout
 from .core.rollover import RolloverPolicy
-from .determinism.counters import PreciseCounter
-from .determinism.kendo import KendoGate
-from .obs import MetricsRegistry, publish_detector_metrics
-from .obs.context import current_registry, current_sites, current_timeline
-from .obs.sites import SiteProfiler
-from .obs.timeline import TimelineRecorder
-from .runtime.ops import Op
-from .runtime.program import Program
-from .runtime.scheduler import (
-    ExecutionMonitor,
-    ExecutionResult,
-    SchedulingPolicy,
-)
-from .runtime.sync import Barrier, Condition, Lock, Semaphore
+from .runtime.monitor import ExecutionMonitor
+
+if TYPE_CHECKING:
+    # Live runs only: offline analysis drives the monitor without them.
+    from .determinism.kendo import KendoGate
+    from .obs import MetricsRegistry
+    from .obs.sites import SiteProfiler
+    from .obs.timeline import TimelineRecorder
+    from .runtime.ops import Op
+    from .runtime.program import Program
+    from .runtime.scheduler import ExecutionResult, SchedulingPolicy
+    from .runtime.sync import Barrier, Condition, Lock, Semaphore
 
 __all__ = ["CleanMonitor", "clean_stack", "run_clean"]
 
@@ -103,7 +101,11 @@ class CleanMonitor(ExecutionMonitor):
         # Hot-site attribution: explicit profiler, else whatever the
         # ambient telemetry scope carries (None outside a scope — the
         # hot path then pays a single attribute test).
-        self.sites = sites if sites is not None else current_sites()
+        if sites is None:
+            from .obs.context import current_sites
+
+            sites = current_sites()
+        self.sites = sites
         self._sync_index = 0
         self._fastpath = bool(fastpath) and bool(
             getattr(self.detector, "same_epoch_filter", False)
@@ -391,6 +393,8 @@ class CleanMonitor(ExecutionMonitor):
             self.publish_metrics(self.registry)
         if self.sites is not None and result.race is not None:
             self.sites.note_race(result.race.address)
+        from .obs.context import current_registry
+
         ambient = current_registry()
         if ambient is not None:
             self.accumulate_metrics(ambient)
@@ -440,6 +444,8 @@ class CleanMonitor(ExecutionMonitor):
         a mid-run snapshot.  Works for the CLEAN detector and for any
         baseline plugged through this adapter (duck-typed publishing).
         """
+        from .obs.bridges import publish_detector_metrics
+
         publish_detector_metrics(self.detector, registry)
         if self._fastpath:
             registry.counter("detector.fastpath.hits").set_to(self.fastpath_hits)
@@ -481,6 +487,8 @@ def clean_stack(
         )
         monitors.append(clean)
     if deterministic:
+        from .determinism.kendo import KendoGate
+
         gate = KendoGate()
         monitors.append(gate)
     if extra:
@@ -530,7 +538,10 @@ def run_clean(
     attached to the recorder as ``race_report`` so every forensics
     artifact names the same racing SFR pair as ``RaceReport.render()``.
     """
+    from .determinism.counters import PreciseCounter
     from .diagnostics import RaceContextMonitor
+    from .obs.context import current_sites, current_timeline
+    from .obs.timeline import TimelineRecorder
 
     sink = None
     recorder = timeline

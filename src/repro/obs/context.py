@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from .registry import MetricsRegistry
-from .tracer import Tracer
+
+if TYPE_CHECKING:
+    from .tracer import Tracer
 
 __all__ = [
     "TelemetryContext",
@@ -72,6 +74,8 @@ def telemetry_scope(
     timeline: Optional[Any] = None,
 ) -> Iterator[TelemetryContext]:
     """Install an ambient telemetry context for the enclosed block."""
+    from .tracer import Tracer
+
     ctx = TelemetryContext(
         registry if registry is not None else MetricsRegistry(),
         tracer if tracer is not None else Tracer(),

@@ -10,6 +10,7 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     ".memory": ["SharedMemory"],
+    ".monitor": ["ExecutionMonitor"],
     ".ops": [
         "Acquire", "AtomicRMW", "BarrierWait", "Compute", "CondBroadcast",
         "CondSignal", "CondWait", "Join", "Op", "Output", "Read", "Release",
@@ -28,9 +29,8 @@ _EXPORTS = {
     ],
     ".serializability": ["ConflictEdge", "RegionSerializabilityOracle"],
     ".scheduler": [
-        "ExecutionMonitor", "ExecutionResult", "RandomPolicy",
-        "RoundRobinPolicy", "Scheduler", "SchedulingPolicy", "ScriptedPolicy",
-        "SyncCommit", "ThreadStatus",
+        "ExecutionResult", "RandomPolicy", "RoundRobinPolicy", "Scheduler",
+        "SchedulingPolicy", "ScriptedPolicy", "SyncCommit", "ThreadStatus",
     ],
     ".sync": ["Barrier", "Condition", "Lock", "Semaphore"],
     ".trace": [

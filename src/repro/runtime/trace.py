@@ -47,7 +47,7 @@ from typing import (
 import numpy as np
 
 from ..core.events import AccessEvent
-from .scheduler import ExecutionMonitor
+from .monitor import ExecutionMonitor
 
 __all__ = [
     "TraceEvent",

@@ -182,6 +182,8 @@ class RaceCheckService:
             raise ValueError(
                 f"service analysis mode must be batch or scalar, not {mode!r}"
             )
+        if hot_sites < 0:
+            raise ValueError(f"hot_sites must be 0 or more, not {hot_sites}")
         from ..obs import MetricsRegistry
 
         self.registry = registry if registry is not None else MetricsRegistry()

@@ -397,6 +397,11 @@ def _service(tmp_path, **kwargs):
 
 
 class TestRaceCheckService:
+    def test_negative_hot_sites_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="hot_sites must be 0 or more"):
+            _service(tmp_path, hot_sites=-1, inline_pool=True)
+        assert not (tmp_path / "spool").exists()
+
     def test_verdicts_match_direct_analyze(
         self, tmp_path, racy_bytes, clean_bytes
     ):

@@ -309,6 +309,35 @@ class TestInputErrors:
         assert cli_main(["analyze", str(traces["clean"]), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["racy"] is False
 
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_analyze_negative_hot_sites_exits_2(self, traces, capsys, json_out):
+        argv = ["analyze", str(traces["clean"]), "--hot-sites", "-3"]
+        assert cli_main(argv + (["--json"] if json_out else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: hot_sites must be 0 or more, not -3"
+        ]
+
+    def test_serve_negative_hot_sites_exits_2(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        argv = ["serve", "--hot-sites", "-1", "--spool", str(spool),
+                "--port", "0", "--for", "1"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: hot_sites must be 0 or more, not -1"
+        ]
+        assert not spool.exists()
+
+    def test_library_rejects_negative_hot_sites(self, traces):
+        for mode in ("scalar", "batch"):
+            with pytest.raises(ValueError, match="hot_sites"):
+                analyze_trace(str(traces["clean"]), mode=mode, hot_sites=-1)
+            assert analyze_trace(
+                str(traces["clean"]), mode=mode, hot_sites=0
+            ).hot_sites == []
+
     @pytest.mark.parametrize("name", ["no_events", "empty", "header_cut"])
     def test_simulate_unreadable_exits_2(self, traces, capsys, name):
         assert cli_main(["simulate", str(traces[name])]) == 2
@@ -354,6 +383,52 @@ class TestAddressBound:
             trace.save(tmp_path / "past.trace")
 
 
+#: Every name the three packages export; a name may join, never leave.
+_EXPORTED = {
+    "repro": """
+        CleanDetector CleanError CleanMonitor MetricsRegistry
+        RaceException RawRaceException TelemetryMonitor Tracer
+        WawRaceException __version__ clean_stack run_clean
+    """.split(),
+    "repro.runtime": """
+        Acquire AtomicRMW Barrier BarrierWait Compute CondBroadcast
+        CondSignal CondWait Condition ConflictEdge ExecutionMonitor
+        ExecutionResult ExplorationStats IsolationOracle Join Lock
+        Op Output Program Quarantined READ RandomPolicy Read
+        RecordingPolicy RecoveryError RecoveryEvent RecoveryPolicy
+        RecoveryReport RegionSerializabilityOracle Release
+        ReplayDivergence ReplayPolicy RoundRobinPolicy SYNC
+        Scheduler SchedulingPolicy ScriptedPolicy SemPost SemWait
+        SemanticViolation Semaphore SfrTracker SharedMemory Spawn
+        StreamingTrace SyncCommit ThreadStatus Trace TraceEvent
+        TraceRecorder WRITE Write WriteAtomicityOracle explore
+        explore_results open_trace verify_trace verify_trace_bytes
+    """.split(),
+    "repro.obs": """
+        Collector Counter FORENSICS_FORMAT_VERSION Gauge Histogram
+        JsonlExporter MetricsRegistry Objective SLO_FORMAT_VERSION
+        SPANS_FORMAT_VERSION SiteProfiler Span StatusFile
+        TIMELINE_FORMAT_VERSION TIMESERIES_FORMAT_VERSION
+        TelemetryContext TelemetryMonitor TelemetryServer
+        TimeSeriesStore TimelineRecorder TimelineSink Timer Tracer
+        build_hb_graph chrome_trace current_context current_registry
+        current_sites current_timeline current_tracer default_slos
+        evaluate_slos hb_graph_dot labeled_name load_slo_config
+        prom_name publish_detector_metrics publish_sim_metrics
+        read_jsonl render_dashboard render_html render_prom
+        render_slo_text split_labels telemetry_scope
+        validate_chrome_trace write_forensics
+    """.split(),
+}
+
+#: Live-run modules (and packages) that offline analysis must not load.
+_LIVE_ONLY = (
+    "repro.runtime.scheduler", "repro.runtime.ops", "repro.runtime.program",
+    "repro.runtime.sync", "repro.determinism", "repro.obs.timeline",
+    "repro.obs.sites", "repro.obs.tracer",
+)
+
+
 class TestLazyImports:
     """The package ``__init__`` modules resolve their re-exports on
     first access, so offline analysis imports none of the service,
@@ -372,6 +447,48 @@ class TestLazyImports:
             text=True, check=True,
         ).stdout
         assert out.strip() == "[]"
+
+    def test_analysis_loads_no_live_runtime(self, tmp_path):
+        """Neither ``import repro.analysis`` nor ``repro analyze`` loads
+        the scheduler, the Kendo gate or the telemetry stack: the
+        detector adapter imports them where a live run calls them."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        path = tmp_path / "t.trace"
+        Trace(per_thread={0: [
+            TraceEvent(WRITE, 0x1000, 8), TraceEvent(READ, 0x1000, 8),
+            TraceEvent(WRITE, 0x1010, 4), TraceEvent(READ, 0x1010, 4),
+        ]}).save(path)
+        code = "import sys, repro.analysis\nprint(' '.join(sys.modules))"
+        imported = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.split()
+        # Each line of -X importtime ends with the module's name.
+        cli = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "analyze",
+             str(path), "--json"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(cli.stdout)["accesses"] == 4
+        analyzed = [
+            line.rpartition("|")[2].strip()
+            for line in cli.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "repro.analysis" in imported and "repro.analysis" in analyzed
+        for modules in (imported, analyzed):
+            assert [m for m in modules if m.startswith(_LIVE_ONLY)] == []
+
+    def test_monitor_protocol_and_exports_kept(self):
+        import repro.obs
+        import repro.runtime
+        from repro.runtime import monitor, scheduler
+
+        assert scheduler.ExecutionMonitor is repro.runtime.ExecutionMonitor
+        assert monitor.ExecutionMonitor is repro.runtime.ExecutionMonitor
+        for package in (repro, repro.runtime, repro.obs):
+            assert set(_EXPORTED[package.__name__]) <= set(package.__all__)
 
     def test_reexports_resolve(self):
         import repro.obs

@@ -720,3 +720,95 @@ class TestClockPass:
             finally:
                 tracemalloc.stop()
         assert peaks["batch"] <= 1.5 * peaks["scalar"]
+
+
+Y = 0x2000
+
+
+def _assert_batch_is_scalar(trace, layout=None):
+    """Batch analysis of the race-free ``trace`` ends where scalar does:
+    verdict, race fields and ``clean.*`` counters, and every thread and
+    sync-object clock the detector holds after the pass."""
+    layout = layout or EpochLayout()
+    scalar = analyze_trace(trace, mode="scalar", layout=layout)
+    batch = analyze_trace(trace, mode="batch", layout=layout)
+    assert not scalar.racy
+    assert batch.to_payload() | {"mode": "scalar"} == scalar.to_payload()
+    assert _end_state(trace, True, layout) == _end_state(
+        trace, False, layout
+    )
+    return scalar
+
+
+class TestReleaseOwner:
+    """The clock pass assigns a Release's row to the key (FastTrack's
+    ``L := C_t``) only when the releaser joined the key at an Acquire
+    and nothing has written the key since; every other release joins.
+    Each trace here is one where the assignment would drop a clock
+    component: thread 0 (or 2) reads Y, written before an earlier
+    release of the key, and would report a race the scalar lane does
+    not."""
+
+    @pytest.mark.parametrize("post, wait", [
+        ("SemPost:S", "SemWait:S"),
+        ("CondSignal:S", "CondWake:M:S"),
+        ("CondBroadcast:S", "CondWake:M:S"),
+        ("CondWait:C:S", "Acquire:S"),
+    ])
+    def test_release_of_a_key_never_acquired(self, post, wait):
+        """Threads 1 and 2 each release S without holding it: the key
+        must end as the join of both."""
+        _assert_batch_is_scalar(_ordered({
+            0: [(1, "Spawn:1"), (2, "Spawn:2"), (5, wait), ("R", Y),
+                ("R", X)],
+            1: [("W", X), (4, post)],
+            2: [("W", Y), (3, post)],
+        }))
+
+    def test_two_acquirers_before_a_release(self):
+        """Thread 2 acquires L after thread 1 and releases it first:
+        thread 1's release finds the key written since its Acquire."""
+        _assert_batch_is_scalar(_ordered({
+            0: [(1, "Spawn:1"), (2, "Spawn:2"), (7, "Acquire:L"),
+                ("R", Y)],
+            1: [(3, "Acquire:L"), (6, "Release:L")],
+            2: [(4, "Acquire:L"), ("W", Y), (5, "Release:L")],
+        }))
+
+    def test_released_by_one_thread_then_another(self):
+        """Thread 1 holds L and releases it (an assignment); thread 2
+        then releases L without acquiring it."""
+        _assert_batch_is_scalar(_ordered({
+            0: [(1, "Spawn:1"), (2, "Spawn:2"), (6, "Acquire:L"),
+                ("R", Y)],
+            1: [(3, "Acquire:L"), ("W", Y), (4, "Release:L")],
+            2: [(5, "Release:L")],
+        }))
+
+    def test_rejoined_tid_respawned_by_another_thread(self):
+        """Thread 1 joins L, which holds thread 3's write of Y, and is
+        joined; thread 2, which never saw that write, spawns tid 1 again,
+        and the new thread 1 releases L without acquiring it.  Thread 2
+        then acquires L and reads Y."""
+        trace = _ordered({
+            0: [(1, "Spawn:1"), (2, "Spawn:2"), (3, "Spawn:3"),
+                (6, "Join:1")],
+            1: [(5, "Acquire:L"), (8, "Release:L")],
+            2: [(7, "Spawn:1"), (9, "Acquire:L"), ("R", Y)],
+            3: [("W", Y), (4, "Release:L")],
+        })
+        _assert_batch_is_scalar(trace)
+
+    def test_rollover_between_acquire_and_release(self):
+        """Thread 2 acquires L, rolls the clocks over with releases of
+        M, writes Y and releases L; thread 1 then releases L without
+        acquiring it, and thread 0 acquires L and reads Y."""
+        layout = EpochLayout(clock_bits=3)
+        releases = [(order, "Release:M") for order in range(5, 13)]
+        scalar = _assert_batch_is_scalar(_ordered({
+            0: [(1, "Spawn:1"), (2, "Spawn:2"), (15, "Acquire:L"),
+                ("R", Y)],
+            1: [(3, "Acquire:K"), (14, "Release:L")],
+            2: [(4, "Acquire:L"), *releases, ("W", Y), (13, "Release:L")],
+        }), layout)
+        assert scalar.counters["clean.rollovers"] == 1
